@@ -10,7 +10,6 @@
 #include "common/table.hh"
 #include "engine/engine.hh"
 #include "engine/obs_report.hh"
-#include "obs/collector.hh"
 #include "runner/shard.hh"
 
 namespace canon
@@ -172,54 +171,36 @@ FigureBench::run(const BenchOptions &opt, std::ostream &out,
         return 1;
     }
 
-    // Submit the shard as one payload batch: execution goes through
-    // the payload codec on hit *and* miss, so a warm rerun renders
-    // exactly the bytes the cold run rendered.
-    //
-    // When observability flags are on, each compute closure runs
-    // under its own collector so the fabrics it constructs report
-    // back; cache-hit points compute nothing and stay unobserved.
+    // One pool job per grid point over its own rows (the FigureRows
+    // codec): a warm rerun renders exactly the rows the cold run
+    // stored, and an unusable entry recomputes like any miss. The
+    // pool observes, times and attributes every job as it does a
+    // canonsim scenario.
     const obs::ObsOptions &obs_opt = opt.common.obs;
-    std::vector<std::shared_ptr<const obs::ScenarioObs>> job_obs(
-        jobs.size());
-    std::vector<engine::PayloadJob> batch;
-    batch.reserve(jobs.size());
+    std::vector<FigureRows> results(jobs.size());
+    std::vector<runner::JobOutcome> outcomes(jobs.size());
+    std::vector<runner::PoolJob> batch(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const JobRef &job = jobs[i];
         const FigureTable &table = tables_[job.table];
-        std::function<std::string()> compute =
-            [&table, &point = job.point] {
-                return cache::encodeRows(table.emit(point));
-            };
-        if (obs_opt.enabled())
-            compute = [compute = std::move(compute), &obs_opt,
-                       &job_obs, i] {
-                obs::Collector col(obs_opt);
-                obs::ScopedCollector scope(col);
-                std::string payload = compute();
-                job_obs[i] = col.finish();
-                return payload;
-            };
-        batch.push_back(
-            {cache::figureKey(name_, table.title, job.point.label),
-             std::move(compute)});
+        FigureRows &rows = results[i];
+        runner::PoolJob &j = batch[i];
+        j.key = [this, &table, &job] {
+            return cache::figureKey(name_, table.title, job.point.label);
+        };
+        j.obs = &obs_opt;
+        j.compute = [&rows, &table, &job] { rows = table.emit(job.point); };
+        j.encode = [&rows] { return cache::encodeRows(rows); };
+        j.decode = [&rows](const std::string &payload) {
+            return cache::decodeRows(payload, rows);
+        };
+        j.outcome = &outcomes[i];
     }
-
-    std::vector<std::string> payloads;
-    try {
-        payloads = eng.runPayloadBatch(batch);
-    } catch (const std::exception &e) {
-        err << name_ << ": " << e.what() << "\n";
-        return 1;
-    }
-
-    std::vector<FigureRows> results(jobs.size());
+    eng.runJobs(batch);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (!cache::decodeRows(payloads[i], results[i])) {
-            err << name_ << ": corrupt cache entry for '"
-                << jobs[i].point.label << "' in "
-                << opt.common.cacheDir
-                << " (rerun with --cache refresh)\n";
+        if (!outcomes[i].error.empty()) {
+            err << name_ << ": job " << i << ": " << outcomes[i].error
+                << "\n";
             return 1;
         }
     }
@@ -255,8 +236,8 @@ FigureBench::run(const BenchOptions &opt, std::ostream &out,
         for (const JobRef &job : jobs)
             labels.push_back(tables_[job.table].title + ": " +
                              job.point.label);
-        const engine::ObsReport rep = engine::ObsReport::buildPayload(
-            obs_opt, labels, job_obs, eng.store());
+        const engine::ObsReport rep = engine::ObsReport::buildJobs(
+            obs_opt, first, labels, outcomes, eng.store());
         if (std::string oerr = rep.writeOutputs(); !oerr.empty()) {
             err << name_ << ": " << oerr << "\n";
             return 1;

@@ -5,13 +5,19 @@
  * Every figure of the paper's evaluation is a grid of scenarios. This
  * layer lets a bench binary *declare* that grid -- a FigureSpec axis
  * list per table, exactly the SweepSpec contract of src/runner/ --
- * and submit it as one payload batch to a canon::engine::Engine
- * (which owns the worker pool and the result cache), instead of
- * hand-rolling a serial scenario loop. One FigureBench holds the
- * binary's tables; its job list is the concatenation of every table's
- * expanded grid, which gives all 13 binaries the same CLI for free:
+ * and submit it to a canon::engine::Engine (which owns the worker
+ * pool and the result cache) instead of hand-rolling a serial
+ * scenario loop. One FigureBench holds the binary's tables; its job
+ * list is the concatenation of every table's expanded grid, and each
+ * grid point is one runner::PoolJob whose slot is the point's emitted
+ * rows (encoded only to store, decoded only on a cache hit). The
+ * pool's one cached executor therefore gives all 13 binaries the
+ * same CLI and behaviour as canonsim for free -- cache attribution,
+ * an unusable entry recomputed as a miss, host timers, and obs
+ * artifacts with global scenario indices:
  *
  *   bench_figNN [--jobs N] [--shard I/N] [--cache-dir D [--cache M]]
+ *               [observability flags]
  *
  * Determinism contract (the same one canonsim's sweep mode obeys):
  *  - Grid expansion order is fixed: axes vary like nested loops in
@@ -167,8 +173,8 @@ class FigureBench
 
     /**
      * Submit this bench's shard of the job list to a canon::engine
-     * Engine as one payload batch and render every table (and CSV)
-     * in declaration order. Returns a process exit code: 0 on
+     * Engine as one batch of pool jobs and render every table (and
+     * CSV) in declaration order. Returns a process exit code: 0 on
      * success, 1 when a job failed or a CSV could not be written.
      */
     int run(const BenchOptions &opt, std::ostream &out,

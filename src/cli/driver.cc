@@ -11,18 +11,6 @@ namespace canon
 namespace cli
 {
 
-CaseResult
-runCases(const Options &opt)
-{
-    return engine::runScenarioCases(opt);
-}
-
-Table
-buildStatsTable(const Options &opt, const CaseResult &cases)
-{
-    return engine::scenarioStatsTable(opt, cases);
-}
-
 namespace
 {
 

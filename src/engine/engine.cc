@@ -1,6 +1,8 @@
 #include "engine/engine.hh"
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "cache/payload.hh"
@@ -117,17 +119,6 @@ Engine::cacheStatsLine() const
     return store_ ? store_->statsLine() : std::string();
 }
 
-ResultSet
-Engine::rejected(const ScenarioRequest &req) const
-{
-    ResultSet rs;
-    rs.status_ = ResultSet::Status::InvalidRequest;
-    rs.error_ = req.error();
-    rs.warnings_ = req.warnings();
-    rs.shard_ = req.options().common.shard;
-    return rs;
-}
-
 namespace
 {
 
@@ -155,59 +146,38 @@ perRequestCacheLine(
     return cache::statsLineText(delta);
 }
 
-} // namespace
-
-ResultSet
-Engine::execute(const std::vector<runner::SweepJob> &sharded,
-                const ScenarioRequest &req, std::size_t total,
-                const ResultCallback &onResult,
-                const runner::CancelToken *cancel)
+/**
+ * Validate @p req, expand it and take its shard's slice: the job list
+ * run()/runBatch() execute and plan() forecasts. nullopt when the
+ * request is invalid; @p total (when given) receives the unsharded
+ * job count.
+ */
+std::optional<std::vector<runner::SweepJob>>
+shardedJobs(const ScenarioRequest &req, std::size_t *total = nullptr)
 {
-    ResultSet rs;
-    rs.warnings_ = req.warnings();
-    rs.total_jobs_ = total;
-    rs.shard_ = req.options().common.shard;
-    rs.single_ =
-        req.options().sweepAxes.empty() && rs.shard_.whole();
-    rs.results_ = pool_.run(sharded, runScenarioCases, store(),
-                            onResult, cancel);
-    if (store())
-        rs.cache_stats_line_ = perRequestCacheLine(rs.results_);
-    const obs::ObsOptions &obs_opt = req.options().common.obs;
-    if (obs_opt.enabled())
-        rs.obs_ = ObsReport::build(obs_opt, rs.results_, store());
-    return rs;
+    if (!req.validate())
+        return std::nullopt;
+    std::vector<runner::SweepJob> jobs = req.expand();
+    if (total)
+        *total = jobs.size();
+    const runner::Shard &shard = req.options().common.shard;
+    if (shard.whole())
+        return jobs;
+    const auto [first, last] = runner::shardRange(shard, jobs.size());
+    return std::vector<runner::SweepJob>(
+        std::make_move_iterator(jobs.begin() +
+                                static_cast<std::ptrdiff_t>(first)),
+        std::make_move_iterator(jobs.begin() +
+                                static_cast<std::ptrdiff_t>(last)));
 }
+
+} // namespace
 
 ResultSet
 Engine::run(const ScenarioRequest &req, const ResultCallback &onResult,
             const runner::CancelToken *cancel)
 {
-    // Validate a private copy: validation caches into the request's
-    // mutable members without synchronization, so a const request
-    // shared across threads must never be mutated through here.
-    const ScenarioRequest local = req;
-    if (!local.validate())
-        return rejected(local);
-    if (std::string err = prepare(); !err.empty()) {
-        ResultSet rs;
-        rs.status_ = ResultSet::Status::Failed;
-        rs.error_ = err;
-        rs.warnings_ = local.warnings();
-        rs.shard_ = local.options().common.shard;
-        return rs;
-    }
-
-    std::vector<runner::SweepJob> jobs = local.expand();
-    const std::size_t total = jobs.size();
-    const runner::Shard &shard = local.options().common.shard;
-    if (!shard.whole()) {
-        const auto [first, last] = runner::shardRange(shard, total);
-        jobs = std::vector<runner::SweepJob>(
-            jobs.begin() + static_cast<std::ptrdiff_t>(first),
-            jobs.begin() + static_cast<std::ptrdiff_t>(last));
-    }
-    return execute(jobs, local, total, onResult, cancel);
+    return std::move(runBatch({req}, onResult, cancel).front());
 }
 
 std::vector<ResultSet>
@@ -218,8 +188,9 @@ Engine::runBatch(const std::vector<ScenarioRequest> &requests,
     // Validate and expand everything first so one global job list
     // can feed a single pool pass: concurrency then spans request
     // boundaries instead of draining one request at a time. Work on
-    // private copies (see run()) so shared const requests are never
-    // mutated through their validation cache.
+    // private copies: validation caches into the request's mutable
+    // members without synchronization, so a const request shared
+    // across threads must never be mutated through here.
     const std::vector<ScenarioRequest> local(requests.begin(),
                                              requests.end());
     std::vector<ResultSet> sets(local.size());
@@ -227,62 +198,56 @@ Engine::runBatch(const std::vector<ScenarioRequest> &requests,
     struct Slice
     {
         bool runnable = false;
-        std::size_t first = 0, count = 0, total = 0;
+        std::size_t first = 0, count = 0;
     };
     std::vector<Slice> slices(local.size());
 
-    const std::string prepare_error = prepare();
     for (std::size_t r = 0; r < local.size(); ++r) {
         const ScenarioRequest &req = local[r];
-        if (!req.validate()) {
-            sets[r] = rejected(req);
+        ResultSet &rs = sets[r];
+        std::size_t total = 0;
+        auto jobs = shardedJobs(req, &total);
+        rs.warnings_ = req.warnings();
+        rs.shard_ = req.options().common.shard;
+        if (!jobs) {
+            rs.status_ = ResultSet::Status::InvalidRequest;
+            rs.error_ = req.error();
             continue;
         }
-        if (!prepare_error.empty()) {
-            sets[r].status_ = ResultSet::Status::Failed;
-            sets[r].error_ = prepare_error;
-            sets[r].warnings_ = req.warnings();
-            sets[r].shard_ = req.options().common.shard;
+        if (std::string err = prepare(); !err.empty()) {
+            rs.status_ = ResultSet::Status::Failed;
+            rs.error_ = err;
             continue;
         }
-        std::vector<runner::SweepJob> jobs = req.expand();
-        slices[r].total = jobs.size();
-        const runner::Shard &shard = req.options().common.shard;
-        if (!shard.whole()) {
-            const auto [first, last] =
-                runner::shardRange(shard, jobs.size());
-            jobs = std::vector<runner::SweepJob>(
-                jobs.begin() + static_cast<std::ptrdiff_t>(first),
-                jobs.begin() + static_cast<std::ptrdiff_t>(last));
-        }
-        slices[r].runnable = true;
-        slices[r].first = all.size();
-        slices[r].count = jobs.size();
-        all.insert(all.end(),
-                   std::make_move_iterator(jobs.begin()),
-                   std::make_move_iterator(jobs.end()));
+        rs.total_jobs_ = total;
+        rs.single_ =
+            req.options().sweepAxes.empty() && rs.shard_.whole();
+        slices[r] = {true, all.size(), jobs->size()};
+        all.insert(all.end(), std::make_move_iterator(jobs->begin()),
+                   std::make_move_iterator(jobs->end()));
     }
 
     std::vector<runner::ScenarioResult> results =
         pool_.run(all, runScenarioCases, store(), onResult, cancel);
+    std::vector<runner::SweepJob>().swap(all); // results hold copies
 
     for (std::size_t r = 0; r < local.size(); ++r) {
         if (!slices[r].runnable)
             continue;
         ResultSet &rs = sets[r];
-        rs.warnings_ = local[r].warnings();
-        rs.total_jobs_ = slices[r].total;
-        rs.shard_ = local[r].options().common.shard;
-        rs.single_ = local[r].options().sweepAxes.empty() &&
-                     rs.shard_.whole();
-        rs.results_.assign(
-            std::make_move_iterator(
+        if (slices[r].count == results.size()) {
+            // The only request with jobs (every run() call).
+            rs.results_ = std::move(results);
+        } else if (slices[r].count > 0) {
+            const auto first =
                 results.begin() +
-                static_cast<std::ptrdiff_t>(slices[r].first)),
-            std::make_move_iterator(
-                results.begin() + static_cast<std::ptrdiff_t>(
-                                      slices[r].first +
-                                      slices[r].count)));
+                static_cast<std::ptrdiff_t>(slices[r].first);
+            rs.results_.assign(
+                std::make_move_iterator(first),
+                std::make_move_iterator(
+                    first +
+                    static_cast<std::ptrdiff_t>(slices[r].count)));
+        }
         if (store())
             rs.cache_stats_line_ = perRequestCacheLine(rs.results_);
         const obs::ObsOptions &obs_opt =
@@ -296,24 +261,15 @@ Engine::runBatch(const std::vector<ScenarioRequest> &requests,
 std::vector<ScenarioPlan>
 Engine::plan(const ScenarioRequest &req)
 {
-    // Private copy, as in run().
+    // Private copy, as in runBatch().
     const ScenarioRequest local = req;
-    if (!local.validate())
+    auto jobs = shardedJobs(local);
+    if (!jobs)
         return {};
 
-    std::vector<runner::SweepJob> jobs = local.expand();
-    const runner::Shard &shard = local.options().common.shard;
-    if (!shard.whole()) {
-        const auto [first, last] =
-            runner::shardRange(shard, jobs.size());
-        jobs = std::vector<runner::SweepJob>(
-            jobs.begin() + static_cast<std::ptrdiff_t>(first),
-            jobs.begin() + static_cast<std::ptrdiff_t>(last));
-    }
-
     std::vector<ScenarioPlan> plans;
-    plans.reserve(jobs.size());
-    for (auto &job : jobs) {
+    plans.reserve(jobs->size());
+    for (auto &job : *jobs) {
         ScenarioPlan p;
         p.key = cache::scenarioKey(job.options);
         if (!store_) {
@@ -323,17 +279,14 @@ Engine::plan(const ScenarioRequest &req)
             // of what is already stored.
             p.forecast = ScenarioPlan::Forecast::Miss;
         } else {
-            // Mirror the pool's hit test exactly: a stored entry only
-            // counts when it decodes to a non-empty result. Lookups
-            // leave the hit/miss counters untouched.
+            // The pool's own hit predicate. Lookups leave the
+            // hit/miss counters untouched.
             CaseResult decoded;
             auto payload = store_->lookup(p.key);
-            p.forecast = payload &&
-                                 cache::decodeCaseResult(*payload,
-                                                         decoded) &&
-                                 !decoded.empty()
-                             ? ScenarioPlan::Forecast::Hit
-                             : ScenarioPlan::Forecast::Miss;
+            p.forecast =
+                payload && runner::decodeScenarioCases(*payload, decoded)
+                    ? ScenarioPlan::Forecast::Hit
+                    : ScenarioPlan::Forecast::Miss;
         }
         p.job = std::move(job);
         plans.push_back(std::move(p));
@@ -341,17 +294,43 @@ Engine::plan(const ScenarioRequest &req)
     return plans;
 }
 
-std::vector<std::string>
-Engine::runPayloadBatch(const std::vector<PayloadJob> &jobs)
+void
+Engine::runJobs(const std::vector<runner::PoolJob> &jobs)
 {
     // A missing cache directory degrades to computing everything
     // (lookups miss, stores fail quietly); callers that want to
     // surface the error check prepare() themselves first.
     prepare();
-    return pool_.mapCached(
-        jobs.size(),
-        [&](std::size_t i) { return jobs[i].key; },
-        [&](std::size_t i) { return jobs[i].compute(); }, store());
+    pool_.execute(jobs, store());
+}
+
+std::vector<std::string>
+Engine::runPayloadBatch(const std::vector<PayloadJob> &jobs)
+{
+    // The identity codec: the payload is the slot.
+    std::vector<std::string> payloads(jobs.size());
+    std::vector<runner::JobOutcome> outcomes(jobs.size());
+    std::vector<runner::PoolJob> pool_jobs(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        std::string &payload = payloads[i];
+        runner::PoolJob &j = pool_jobs[i];
+        j.key = [&key = jobs[i].key] { return key; };
+        j.compute = [&payload, &compute = jobs[i].compute] {
+            payload = compute();
+        };
+        j.encode = [&payload] { return payload; };
+        j.decode = [&payload](const std::string &stored) {
+            payload = stored;
+            return true;
+        };
+        j.outcome = &outcomes[i];
+    }
+    runJobs(pool_jobs);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        if (!outcomes[i].error.empty())
+            throw std::runtime_error("job " + std::to_string(i) + ": " +
+                                     outcomes[i].error);
+    return payloads;
 }
 
 } // namespace engine

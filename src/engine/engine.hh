@@ -103,9 +103,8 @@ struct ScenarioPlan
 const char *forecastName(ScenarioPlan::Forecast f);
 
 /**
- * One unit of a payload-level batch (the figure-bench submission
- * path): a cache identity plus the computation that produces the
- * payload bytes on a miss.
+ * One unit of a payload-level batch: a cache identity plus the
+ * computation that produces the payload bytes on a miss.
  */
 struct PayloadJob
 {
@@ -157,6 +156,8 @@ class Engine
      * typed kCancelledError failures at their expansion index, so a
      * long sweep submitted by a service can be abandoned without
      * tearing down the engine or losing already-computed results.
+     *
+     * Equivalent to runBatch({req}, onResult, cancel).front().
      */
     ResultSet run(const ScenarioRequest &req,
                   const ResultCallback &onResult = {},
@@ -186,23 +187,25 @@ class Engine
     std::vector<ScenarioPlan> plan(const ScenarioRequest &req);
 
     /**
+     * Execute caller-built jobs (see runner::PoolJob) on this
+     * engine's pool and store: the codec-level entry point behind
+     * runPayloadBatch() and the figure benches. Outcomes land in each
+     * job's slot.
+     */
+    void runJobs(const std::vector<runner::PoolJob> &jobs);
+
+    /**
      * Payload-level batch: for every job, the stored payload under
      * its key when the store has one, otherwise compute() (stored per
      * the engine's cache mode). Payloads return in submission order,
      * bit-exact whether they came from the store or the computation.
      * Throws std::runtime_error with the lowest-indexed failure after
-     * every job has been attempted (the pool's map contract).
+     * every job has been attempted.
      */
     std::vector<std::string>
     runPayloadBatch(const std::vector<PayloadJob> &jobs);
 
   private:
-    ResultSet rejected(const ScenarioRequest &req) const;
-    ResultSet execute(const std::vector<runner::SweepJob> &sharded,
-                      const ScenarioRequest &req, std::size_t total,
-                      const ResultCallback &onResult,
-                      const runner::CancelToken *cancel);
-
     EngineConfig config_;
     int workers_;
     runner::ScenarioPool pool_;
@@ -213,9 +216,9 @@ class Engine
 
 /**
  * Run one options value across its requested architectures (the
- * scenario executor behind every Engine submission; cli::runCases
- * forwards here). Only the requested architectures are simulated;
- * ones that cannot execute the workload are absent from the result.
+ * scenario executor behind every Engine submission). Only the
+ * requested architectures are simulated; ones that cannot execute the
+ * workload are absent from the result.
  */
 CaseResult runScenarioCases(const cli::Options &opt);
 

@@ -99,11 +99,10 @@ ObsReport::build(const obs::ObsOptions &opt,
 }
 
 ObsReport
-ObsReport::buildPayload(
-    const obs::ObsOptions &opt, const std::vector<std::string> &labels,
-    const std::vector<std::shared_ptr<const obs::ScenarioObs>>
-        &observations,
-    const cache::ResultStore *store)
+ObsReport::buildJobs(const obs::ObsOptions &opt, std::size_t first,
+                     const std::vector<std::string> &labels,
+                     const std::vector<runner::JobOutcome> &outcomes,
+                     const cache::ResultStore *store)
 {
     ObsReport rep;
     rep.options_ = opt;
@@ -112,10 +111,9 @@ ObsReport::buildPayload(
     rep.scenarios_.reserve(labels.size());
     for (std::size_t i = 0; i < labels.size(); ++i) {
         ObsScenario s;
-        s.index = i;
+        s.index = first + i;
         s.point = labels[i];
-        if (i < observations.size())
-            s.obs = observations[i];
+        s.obs = outcomes[i].obs;
         rep.scenarios_.push_back(std::move(s));
     }
     if (store) {

@@ -73,16 +73,16 @@ class ObsReport
           const cache::ResultStore *store);
 
     /**
-     * Build from a payload-level bench run: one label and one
-     * (possibly null, e.g. cache-hit) observation per payload, in
-     * submission order.
+     * Build from a codec-level run (the figure benches): one label
+     * and one outcome per job, in job order. Job i is scenario
+     * @p first + i of the unsharded expansion, so a shard reports
+     * global indices as a sharded canonsim run does.
      */
-    static ObsReport buildPayload(
-        const obs::ObsOptions &opt,
-        const std::vector<std::string> &labels,
-        const std::vector<std::shared_ptr<const obs::ScenarioObs>>
-            &observations,
-        const cache::ResultStore *store);
+    static ObsReport
+    buildJobs(const obs::ObsOptions &opt, std::size_t first,
+              const std::vector<std::string> &labels,
+              const std::vector<runner::JobOutcome> &outcomes,
+              const cache::ResultStore *store);
 
     /** The sampled time series as one long-form CSV. */
     void writeSeriesCsv(std::ostream &os) const;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "cache/key.hh"
@@ -51,18 +52,21 @@ ScenarioPool::forEach(
         t.join();
 }
 
-std::vector<ScenarioResult>
-ScenarioPool::run(
-    const std::vector<SweepJob> &jobs,
-    const std::function<CaseResult(const cli::Options &)> &fn,
-    const cache::ResultStore *store,
-    const std::function<void(const ScenarioResult &)> &onResult,
-    const CancelToken *cancel) const
+bool
+decodeScenarioCases(const std::string &payload, CaseResult &cases)
 {
-    std::vector<ScenarioResult> results(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        results[i].job = jobs[i];
+    if (cache::decodeCaseResult(payload, cases) && !cases.empty())
+        return true;
+    cases.clear();
+    return false;
+}
 
+void
+ScenarioPool::execute(const std::vector<PoolJob> &jobs,
+                      const cache::ResultStore *store,
+                      const std::function<void(std::size_t)> &onDone,
+                      const CancelToken *cancel) const
+{
     // Ordered streaming state: finished jobs are held back until
     // every lower-indexed job has finished, then released in one
     // in-order burst under the lock. A callback that throws must not
@@ -74,14 +78,14 @@ ScenarioPool::run(
     std::size_t next_emit = 0;
     std::exception_ptr emit_error;
     auto emitReady = [&](std::size_t i) {
-        if (!onResult)
+        if (!onDone)
             return;
         std::lock_guard<std::mutex> lock(emit_mutex);
         finished[i] = 1;
-        while (!emit_error && next_emit < results.size() &&
+        while (!emit_error && next_emit < jobs.size() &&
                finished[next_emit]) {
             try {
-                onResult(results[next_emit]);
+                onDone(next_emit);
             } catch (...) {
                 emit_error = std::current_exception();
             }
@@ -93,22 +97,23 @@ ScenarioPool::run(
     // time for the queue-wait measure. One clock read, taken only
     // when some job actually asked for host telemetry.
     std::uint64_t pool_t0 = 0;
-    for (const auto &j : jobs)
-        if (j.options.common.obs.hostTimers) {
+    for (const PoolJob &j : jobs)
+        if (j.obs && j.obs->hostTimers) {
             pool_t0 = obs::hostNowUs();
             break;
         }
 
     forEach(jobs.size(), [&](std::size_t i) {
-        ScenarioResult &r = results[i];
+        const PoolJob &job = jobs[i];
+        JobOutcome &out = *job.outcome;
 
         // Cooperative cancel, polled once per job before any work:
         // a cancelled run skips everything it has not started --
         // including the cache probe, so the store's counters never
-        // see skipped jobs -- but still lands a typed failure at the
-        // job's index to keep the expansion-order contract intact.
+        // see skipped jobs -- but still lands a typed failure in the
+        // job's slot to keep the expansion-order contract intact.
         if (cancel && cancel->cancelled()) {
-            r.error = kCancelledError;
+            out.error = kCancelledError;
             emitReady(i);
             return;
         }
@@ -116,15 +121,14 @@ ScenarioPool::run(
         // Observe this job when asked: the collector rides the worker
         // thread (obs::current()) so the fabric and cache layers can
         // report without plumbing. With obs off this is one branch.
-        const obs::ObsOptions &obs_opt = jobs[i].options.common.obs;
         std::optional<obs::Collector> col;
         std::optional<obs::ScopedCollector> scope;
-        if (obs_opt.enabled()) {
-            col.emplace(obs_opt);
+        if (job.obs && job.obs->enabled()) {
+            col.emplace(*job.obs);
             scope.emplace(*col);
         }
 
-        const bool timing = obs_opt.hostTimers;
+        const bool timing = col && job.obs->hostTimers;
         obs::HostPhaseTimes host;
         if (timing) {
             host.measured = true;
@@ -137,32 +141,26 @@ ScenarioPool::run(
             if (timing)
                 col->recordHostTimes(host);
             scope.reset();
-            r.obs = col->finish();
+            out.obs = col->finish();
         };
 
         cache::ScenarioKey key;
         if (store)
-            key = cache::scenarioKey(jobs[i].options);
+            key = job.key();
         if (store && store->readsEnabled()) {
             if (col)
                 col->recordCacheEvent(obs::CacheEventKind::Probe);
             const std::uint64_t t0 = timing ? obs::hostNowUs() : 0;
-            bool hit = false;
-            if (auto payload = store->lookup(key)) {
-                // An undecodable or empty entry (external corruption;
-                // torn files cannot happen) falls through to a
-                // recompute instead of failing the scenario.
-                if (cache::decodeCaseResult(*payload, r.cases) &&
-                    !r.cases.empty())
-                    hit = true;
-                else
-                    r.cases.clear();
-            }
+            // An undecodable entry (external corruption; torn files
+            // cannot happen) falls through to a recompute instead of
+            // failing the job.
+            const auto payload = store->lookup(key);
+            const bool hit = payload && job.decode(*payload);
             if (timing)
                 host.cacheProbeUs = obs::hostNowUs() - t0;
             if (hit) {
                 store->recordHit();
-                r.cacheHit = true;
+                out.cacheHit = true;
                 if (col)
                     col->recordCacheEvent(obs::CacheEventKind::Hit);
                 seal();
@@ -178,28 +176,27 @@ ScenarioPool::run(
         }
         const std::uint64_t t_sim = timing ? obs::hostNowUs() : 0;
         try {
-            r.cases = fn(jobs[i].options);
-            if (r.cases.empty())
-                r.error = kNoArchError;
+            job.compute();
         } catch (const std::exception &e) {
-            r.error = e.what();
+            out.error = e.what();
+            if (out.error.empty())
+                out.error = "unknown exception";
         } catch (...) {
-            r.error = "unknown exception";
+            out.error = "unknown exception";
         }
         if (timing)
             host.simUs = obs::hostNowUs() - t_sim;
 
-        // Only successful scenarios are worth remembering; a failure
+        // Only successful jobs are worth remembering; a failure
         // should re-run (and re-report) next time.
-        if (store && store->writesEnabled() && r.error.empty()) {
+        if (store && store->writesEnabled() && out.error.empty()) {
             const std::uint64_t t_enc = timing ? obs::hostNowUs() : 0;
-            const std::string payload =
-                cache::encodeCaseResult(r.cases);
+            const std::string payload = job.encode();
             const std::uint64_t t_store =
                 timing ? obs::hostNowUs() : 0;
             if (timing)
                 host.encodeUs = t_store - t_enc;
-            store->store(key, payload, &r.cacheStored);
+            store->store(key, payload, &out.cacheStored);
             if (timing)
                 host.cacheStoreUs = obs::hostNowUs() - t_store;
             if (col)
@@ -210,32 +207,40 @@ ScenarioPool::run(
     });
     if (emit_error)
         std::rethrow_exception(emit_error);
-    return results;
 }
 
-std::vector<std::string>
-ScenarioPool::mapCached(
-    std::size_t count,
-    const std::function<cache::ScenarioKey(std::size_t)> &keyOf,
-    const std::function<std::string(std::size_t)> &compute,
-    const cache::ResultStore *store) const
+std::vector<ScenarioResult>
+ScenarioPool::run(
+    const std::vector<SweepJob> &jobs,
+    const std::function<CaseResult(const cli::Options &)> &fn,
+    const cache::ResultStore *store,
+    const std::function<void(const ScenarioResult &)> &onResult,
+    const CancelToken *cancel) const
 {
-    if (!store)
-        return map<std::string>(count, compute);
-    return map<std::string>(count, [&](std::size_t i) {
-        const cache::ScenarioKey key = keyOf(i);
-        if (store->readsEnabled()) {
-            if (auto payload = store->lookup(key)) {
-                store->recordHit();
-                return *payload;
-            }
-        }
-        store->recordMiss();
-        std::string payload = compute(i);
-        if (store->writesEnabled())
-            store->store(key, payload);
-        return payload;
-    });
+    std::vector<ScenarioResult> results(jobs.size());
+    std::vector<PoolJob> pool_jobs(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ScenarioResult &r = results[i];
+        r.job = jobs[i];
+        PoolJob &j = pool_jobs[i];
+        j.key = [&r] { return cache::scenarioKey(r.job.options); };
+        j.obs = &r.job.options.common.obs;
+        j.compute = [&r, &fn] {
+            r.cases = fn(r.job.options);
+            if (r.cases.empty())
+                throw std::runtime_error(kNoArchError);
+        };
+        j.encode = [&r] { return cache::encodeCaseResult(r.cases); };
+        j.decode = [&r](const std::string &payload) {
+            return decodeScenarioCases(payload, r.cases);
+        };
+        j.outcome = &r;
+    }
+    std::function<void(std::size_t)> onDone;
+    if (onResult)
+        onDone = [&](std::size_t i) { onResult(results[i]); };
+    execute(pool_jobs, store, onDone, cancel);
+    return results;
 }
 
 } // namespace runner

@@ -1,35 +1,37 @@
 /**
  * @file
- * Worker-pool execution of independent jobs.
+ * Worker-pool execution of independent jobs, with or without the
+ * result cache.
  *
- * The pool is three layers, each built on the one below:
+ * The pool has exactly one executor, execute(), over type-erased
+ * PoolJobs. A job names its cache identity and its obs options, and
+ * hands the executor three closures over a result slot the caller
+ * owns: compute (fill the slot), encode (slot -> payload bytes, called
+ * only when storing) and decode (payload -> slot, called only on a
+ * probe hit; false marks the entry unusable and the job recomputes).
+ * Everything that is the same for every caller lives in execute():
+ * cooperative cancel, the per-job obs::Collector scope, host phase
+ * timers, cache probe/decode/hit/miss/store accounting with per-job
+ * attribution, never storing a failure, error capture, and
+ * expansion-order streaming.
  *
- *  - forEach(count, task): the type-erased core. Workers pull job
- *    indices from a shared atomic counter, so the pool never
- *    partitions work statically (one slow job cannot strand a whole
- *    stripe behind it). @p task must not throw; wrap it if it can.
- *  - map<R>(count, fn): runs fn(i) for every index and collects the
- *    returned values at their job index. An fn that throws fails the
- *    whole map with the lowest-indexed error after every job has
- *    been attempted.
- *  - run(jobs, fn): the canonsim scenario adapter. A scenario that
- *    throws (or yields nothing) is captured as a failed
- *    ScenarioResult; the remaining scenarios still run.
+ * Callers differ only in their codec:
+ *  - run(jobs, fn): the canonsim scenario adapter (CaseResult codec;
+ *    a stored entry only counts when it decodes to a non-empty
+ *    result, see decodeScenarioCases);
+ *  - engine::Engine::runPayloadBatch: opaque payload strings
+ *    (identity codec);
+ *  - bench::FigureBench::run: a figure table's emitted rows.
  *
- * Cached execution: run() and mapCached() accept an optional
- * cache::ResultStore. When present, each job's ScenarioKey is looked
- * up before simulating -- a hit skips the job entirely (this is what
- * makes a warm-cache rerun execute zero simulation jobs and an
- * interrupted sweep resume from its cache directory), a miss runs
- * the job and stores the result per the store's mode. Hit/miss/store
- * counts accumulate in the store's atomic counters. Failed scenarios
- * are never stored.
+ * A warm-cache rerun therefore executes zero jobs, and an
+ * interrupted sweep resumes from its cache directory, on every path.
+ * Hit/miss/store counts accumulate in the store's atomic counters.
  *
- * Thread-safety and ordering contract (all entry points):
- *  - @p fn / @p task is called concurrently from up to workers()
- *    threads, each call with a distinct job index; it must not touch
- *    shared mutable state without its own synchronization.
- *  - Each result lands at its job's index, which makes the output
+ * Thread-safety and ordering contract:
+ *  - A job's closures are called from one worker thread, up to
+ *    workers() jobs at a time; they must not touch shared mutable
+ *    state without their own synchronization.
+ *  - Each outcome lands in its job's slot, which makes the output
  *    ordering -- and therefore any rendered table or CSV --
  *    deterministic and independent of thread count and scheduling.
  *  - The pool itself is stateless across calls; a const ScenarioPool
@@ -39,10 +41,9 @@
 #ifndef CANON_RUNNER_POOL_HH
 #define CANON_RUNNER_POOL_HH
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
-#include <stdexcept>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,12 +62,10 @@ namespace runner
 inline constexpr const char *kNoArchError =
     "no requested architecture can execute this scenario";
 
-/** Outcome of one sweep job: per-arch profiles, or an error. */
-struct ScenarioResult
+/** How the executor finished one job. */
+struct JobOutcome
 {
-    SweepJob job;
-    CaseResult cases;
-    std::string error; //!< nonempty when the scenario failed
+    std::string error; //!< nonempty when the job failed
 
     /**
      * How the result cache treated this job: satisfied from the
@@ -83,12 +82,59 @@ struct ScenarioResult
     bool cancelled() const { return error == kCancelledError; }
 
     /**
-     * Observations gathered while this scenario executed; null when
-     * the job's obs options were all off. Cache-hit scenarios carry
-     * their cache events but no fabric runs (nothing simulated).
+     * Observations gathered while this job executed; null when the
+     * job's obs options were all off. Cache-hit jobs carry their
+     * cache events but no fabric runs (nothing simulated).
      */
     std::shared_ptr<const obs::ScenarioObs> obs;
 };
+
+/** Outcome of one sweep job: per-arch profiles, or an error. */
+struct ScenarioResult : JobOutcome
+{
+    SweepJob job;
+    CaseResult cases;
+};
+
+/**
+ * One job of the cached executor. The closures refer to a result
+ * slot the caller owns; @c outcome is the slot's JobOutcome.
+ */
+struct PoolJob
+{
+    /**
+     * The job's cache identity, called on the worker thread (key
+     * hashing is a visible share of a warm sweep) and only when a
+     * store is in use.
+     */
+    std::function<cache::ScenarioKey()> key;
+
+    /** What to observe; null (or all off) runs unobserved. */
+    const obs::ObsOptions *obs = nullptr;
+
+    /** Fill the slot; throw to fail the job. */
+    std::function<void()> compute;
+
+    /** The slot as payload bytes; called only to store. */
+    std::function<std::string()> encode;
+
+    /**
+     * Fill the slot from a probed payload; called only on a probe
+     * hit. False marks the entry unusable (external corruption) and
+     * the job recomputes, counted as a miss.
+     */
+    std::function<bool(const std::string &)> decode;
+
+    JobOutcome *outcome = nullptr;
+};
+
+/**
+ * The scenario codec's hit predicate: @p payload decodes to a
+ * non-empty CaseResult. On false, @p cases is left empty. The
+ * typed run() and engine::Engine::plan() share it, so a forecast
+ * matches what a run will do.
+ */
+bool decodeScenarioCases(const std::string &payload, CaseResult &cases);
 
 class ScenarioPool
 {
@@ -99,79 +145,45 @@ class ScenarioPool
     int workers() const { return workers_; }
 
     /**
-     * Run @p task for every index in [0, count), spread across the
-     * worker threads. @p task must not throw: this is the primitive
-     * the error-capturing entry points below are built on.
-     */
-    void forEach(std::size_t count,
-                 const std::function<void(std::size_t)> &task) const;
-
-    /**
-     * Run fn(i) for every index in [0, count) and collect the
-     * returned values in index order. If any call throws, every
-     * other job still runs, then the error of the lowest-indexed
-     * failed job is rethrown as std::runtime_error.
-     */
-    template <typename R>
-    std::vector<R> map(std::size_t count,
-                       const std::function<R(std::size_t)> &fn) const
-    {
-        std::vector<R> results(count);
-        std::vector<std::string> errors(count);
-        // Failure is tracked separately from the message so an
-        // exception with an empty what() still fails the map.
-        std::vector<char> job_failed(count, 0);
-        std::atomic<bool> any_failed{false};
-        forEach(count, [&](std::size_t i) {
-            try {
-                results[i] = fn(i);
-            } catch (const std::exception &e) {
-                errors[i] = e.what();
-                job_failed[i] = 1;
-                any_failed.store(true, std::memory_order_relaxed);
-            } catch (...) {
-                errors[i] = "unknown exception";
-                job_failed[i] = 1;
-                any_failed.store(true, std::memory_order_relaxed);
-            }
-        });
-        if (any_failed.load())
-            for (std::size_t i = 0; i < count; ++i)
-                if (job_failed[i])
-                    throw std::runtime_error(
-                        "job " + std::to_string(i) + ": " + errors[i]);
-        return results;
-    }
-
-    /**
-     * Run every job through @p fn (a CaseResult producer, typically
-     * cli::runCases) and collect the outcomes in job-index order.
-     * A job that throws FatalError/PanicError (or any std::exception)
-     * is captured as a failed ScenarioResult; the remaining jobs
-     * still run.
+     * The cached executor: run every job, writing how it finished to
+     * its outcome. A job that throws is captured as a failed outcome
+     * (the message, or "unknown exception"); the remaining jobs still
+     * run.
      *
-     * With a non-null @p store, each job's cache::scenarioKey is
-     * consulted first (per the store's mode): a decodable hit
-     * becomes the result without simulating, anything else runs and
-     * -- when writes are enabled and the scenario succeeded -- is
-     * stored.
+     * With a non-null @p store, the job's key is probed first (per
+     * the store's mode): a payload that decode() accepts finishes the
+     * job as a hit without computing; anything else computes and --
+     * when writes are enabled and the job succeeded -- is encoded and
+     * stored. Failures are never stored.
      *
-     * With a non-null @p onResult, every finished result is
-     * additionally streamed in job-index order: the callback fires
-     * for job i as soon as jobs 0..i have all completed (so delivery
-     * order is deterministic even though execution is not). Calls
-     * are serialized under an internal lock but run on worker
-     * threads concurrently with later jobs -- the callback must not
-     * block for long and must not re-enter the pool. If the callback
-     * throws, delivery stops, every job still runs to completion,
-     * and the first exception rethrows on the caller's thread after
-     * the workers have joined (it never escapes a worker thread).
+     * With a non-null @p onDone, every finished job is additionally
+     * streamed in job-index order: the callback fires for job i as
+     * soon as jobs 0..i have all finished (so delivery order is
+     * deterministic even though execution is not). Calls are
+     * serialized under an internal lock but run on worker threads
+     * concurrently with later jobs -- the callback must not block for
+     * long and must not re-enter the pool. If the callback throws,
+     * delivery stops, every job still runs to completion, and the
+     * first exception rethrows on the caller's thread after the
+     * workers have joined (it never escapes a worker thread).
      *
      * With a non-null @p cancel, the token is polled before each job
      * starts: once cancelled, every not-yet-started job is skipped
-     * and recorded as a failed result carrying kCancelledError
-     * (in-flight jobs finish normally; skipped jobs never touch the
-     * store). Delivery order and result indexing are unchanged.
+     * and its outcome carries kCancelledError (in-flight jobs finish
+     * normally; skipped jobs never touch the store). Delivery order
+     * is unchanged.
+     */
+    void execute(const std::vector<PoolJob> &jobs,
+                 const cache::ResultStore *store,
+                 const std::function<void(std::size_t)> &onDone = {},
+                 const CancelToken *cancel = nullptr) const;
+
+    /**
+     * execute() over scenario jobs: each job's result is @p fn
+     * (typically engine::runScenarioCases) of its options, cached
+     * under cache::scenarioKey. A scenario whose result is empty
+     * fails with kNoArchError. Results come back in job-index order;
+     * @p onResult streams them in that order (the onDone contract).
      */
     std::vector<ScenarioResult>
     run(const std::vector<SweepJob> &jobs,
@@ -181,23 +193,16 @@ class ScenarioPool
             {},
         const CancelToken *cancel = nullptr) const;
 
-    /**
-     * Cache-aware map over opaque payload strings: for every index,
-     * return the stored payload under keyOf(i) when the store has
-     * one, otherwise compute(i) (storing the result per the store's
-     * mode). With a null @p store this is map<std::string> over
-     * @p compute. Exceptions follow the map() contract: every other
-     * index still runs, then the lowest-indexed error is rethrown.
-     * The payload round-trips bit-exactly, so a caller that renders
-     * from the returned payloads is byte-identical warm or cold.
-     */
-    std::vector<std::string> mapCached(
-        std::size_t count,
-        const std::function<cache::ScenarioKey(std::size_t)> &keyOf,
-        const std::function<std::string(std::size_t)> &compute,
-        const cache::ResultStore *store) const;
-
   private:
+    /**
+     * Run @p task for every index in [0, count), spread across the
+     * worker threads. Workers pull indices from a shared atomic
+     * counter, so one slow job cannot strand a static stripe behind
+     * it. @p task must not throw.
+     */
+    void forEach(std::size_t count,
+                 const std::function<void(std::size_t)> &task) const;
+
     int workers_;
 };
 

@@ -309,6 +309,104 @@ TEST(FigureBench, JobFailureIsReportedNotSwallowed)
         << err.str();
 }
 
+// ---- the shared pool path: benches get what canonsim gets -----------
+
+std::size_t
+occurrences(const std::string &text, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (auto at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+TEST(FigureBench, HostTimersWriteOneHostBlockPerJob)
+{
+    const std::string dir = scratchDir("bench_grid_host");
+    std::atomic<int> emits{0};
+    BenchOptions opt;
+    opt.common.jobs = 2;
+    opt.common.obs.hostTimers = true;
+    opt.common.obs.statsJsonOut = dir + "stats.json";
+    std::ostringstream out, err;
+    ASSERT_EQ(countingBench(dir, &emits).run(opt, out, err), 0)
+        << err.str();
+    EXPECT_EQ(occurrences(slurp(dir + "stats.json"), "\"host\":{"), 3u);
+}
+
+TEST(FigureBench, ShardStatsCarryGlobalIndices)
+{
+    const std::string dir = scratchDir("bench_grid_shard_index");
+    std::atomic<int> emits{0};
+    BenchOptions opt;
+    opt.common.shard = runner::Shard{1, 2};
+    opt.common.obs.statsJsonOut = dir + "stats.json";
+    std::ostringstream out, err;
+    ASSERT_EQ(countingBench(dir, &emits).run(opt, out, err), 0)
+        << err.str();
+
+    // Scenario indices are positions in the unsharded job list, as
+    // a sharded canonsim run reports them.
+    const auto [first, last] = runner::shardRange(opt.common.shard, 3);
+    ASSERT_GT(first, 0u);
+    const std::string stats = slurp(dir + "stats.json");
+    EXPECT_EQ(occurrences(stats, "\"index\":"), last - first);
+    for (std::size_t i = first; i < last; ++i)
+        EXPECT_NE(stats.find("\"index\":" + std::to_string(i) + ","),
+                  std::string::npos)
+            << stats;
+}
+
+TEST(FigureBench, CorruptEntryIsOneMissAndOneRecompute)
+{
+    const std::string dir = scratchDir("bench_grid_corrupt");
+    std::atomic<int> emits{0};
+    const FigureBench bench = countingBench(dir, &emits);
+    BenchOptions opt;
+    opt.common.jobs = 2;
+    opt.common.cacheDir = dir + "cache";
+    std::ostringstream cold_out, cold_err;
+    ASSERT_EQ(bench.run(opt, cold_out, cold_err), 0) << cold_err.str();
+    const std::string cold_csv = slurp(dir + "counting.csv");
+
+    // Corrupt one entry's body, keeping the valid header so the
+    // lookup itself still matches.
+    const auto entry =
+        std::filesystem::directory_iterator(opt.common.cacheDir)->path();
+    const std::string text = slurp(entry.string());
+    const auto second_nl = text.find('\n', text.find('\n') + 1);
+    ASSERT_NE(second_nl, std::string::npos);
+    std::ofstream(entry, std::ios::binary)
+        << text.substr(0, second_nl + 1) << "stale garbage\n";
+
+    std::ostringstream out, err;
+    ASSERT_EQ(bench.run(opt, out, err), 0) << err.str();
+    EXPECT_EQ(emits.load(), 4);
+    EXPECT_NE(out.str().find("counting: cache: 2 hits, 1 misses, 0"
+                             " stored; simulation jobs executed: 1"),
+              std::string::npos)
+        << out.str();
+    EXPECT_EQ(slurp(dir + "counting.csv"), cold_csv);
+}
+
+TEST(FigureBench, WarmTraceCarriesCacheHitInstants)
+{
+    const std::string dir = scratchDir("bench_grid_trace");
+    std::atomic<int> emits{0};
+    const FigureBench bench = countingBench(dir, &emits);
+    BenchOptions opt;
+    opt.common.cacheDir = dir + "cache";
+    opt.common.obs.traceOut = dir + "trace.json";
+    for (int pass = 0; pass < 2; ++pass) {
+        std::ostringstream out, err;
+        ASSERT_EQ(bench.run(opt, out, err), 0) << err.str();
+    }
+    EXPECT_EQ(emits.load(), 3);
+    EXPECT_EQ(occurrences(slurp(dir + "trace.json"), "\"cache.hit\""),
+              3u);
+}
+
 // ---- shared bench CLI -------------------------------------------------
 
 TEST(BenchArgs, ParsesJobsShardAndHelp)

@@ -24,6 +24,7 @@
 #include "cache/store.hh"
 #include "cli/driver.hh"
 #include "cli/options.hh"
+#include "engine/engine.hh"
 #include "runner/pool.hh"
 #include "runner/sweep.hh"
 
@@ -401,7 +402,7 @@ TEST(CachedPool, WarmRunExecutesZeroScenarios)
     std::atomic<int> executed{0};
     auto fn = [&executed](const cli::Options &o) {
         executed.fetch_add(1);
-        return cli::runCases(o);
+        return engine::runScenarioCases(o);
     };
 
     ResultStore cold(dir, Mode::ReadWrite);
@@ -441,7 +442,7 @@ TEST(CachedPool, FailedScenariosAreNeverCached)
         executed.fetch_add(1);
         if (o.seed == 2)
             throw std::runtime_error("transient failure");
-        return cli::runCases(o);
+        return engine::runScenarioCases(o);
     };
 
     ResultStore store(dir, Mode::ReadWrite);
@@ -453,40 +454,58 @@ TEST(CachedPool, FailedScenariosAreNeverCached)
     // The resume re-runs exactly the failed scenario.
     ResultStore resume(dir, Mode::ReadWrite);
     executed.store(0);
-    auto second = pool.run(jobs, cli::runCases, &resume);
+    auto second = pool.run(jobs, engine::runScenarioCases, &resume);
     EXPECT_EQ(executed.load(), 0); // flaky not used; count via stats
     EXPECT_EQ(resume.stats().hits, 2u);
     EXPECT_EQ(resume.stats().misses, 1u);
     EXPECT_EQ(second[1].error, "");
 }
 
-TEST(CachedPool, MapCachedRoundTripsPayloads)
+TEST(CachedPool, ExecuteRoundTripsPayloads)
 {
     const std::string dir = scratchDir("cache_pool_map");
     const runner::ScenarioPool pool(2);
     std::atomic<int> computed{0};
-    auto key_of = [](std::size_t i) {
-        return figureKey("map", "t", "i=" + std::to_string(i));
-    };
-    auto compute = [&computed](std::size_t i) {
-        computed.fetch_add(1);
-        return "value-" + std::to_string(i * i);
+
+    // The identity codec over five string slots.
+    auto run = [&](const ResultStore *store) {
+        std::vector<std::string> slots(5);
+        std::vector<runner::JobOutcome> outcomes(5);
+        std::vector<runner::PoolJob> jobs(5);
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            std::string &slot = slots[i];
+            jobs[i].key = [i] {
+                return figureKey("map", "t", "i=" + std::to_string(i));
+            };
+            jobs[i].compute = [&computed, &slot, i] {
+                computed.fetch_add(1);
+                slot = "value-" + std::to_string(i * i);
+            };
+            jobs[i].encode = [&slot] { return slot; };
+            jobs[i].decode = [&slot](const std::string &payload) {
+                slot = payload;
+                return true;
+            };
+            jobs[i].outcome = &outcomes[i];
+        }
+        pool.execute(jobs, store);
+        return slots;
     };
 
     ResultStore store(dir, Mode::ReadWrite);
     ASSERT_EQ(store.prepare(), "");
-    const auto cold = pool.mapCached(5, key_of, compute, &store);
+    const auto cold = run(&store);
     EXPECT_EQ(computed.load(), 5);
     ASSERT_EQ(cold.size(), 5u);
     EXPECT_EQ(cold[3], "value-9");
 
     ResultStore warm(dir, Mode::ReadWrite);
-    EXPECT_EQ(pool.mapCached(5, key_of, compute, &warm), cold);
+    EXPECT_EQ(run(&warm), cold);
     EXPECT_EQ(computed.load(), 5);
     EXPECT_EQ(warm.stats().hits, 5u);
 
-    // Null store degrades to a plain map.
-    EXPECT_EQ(pool.mapCached(5, key_of, compute, nullptr), cold);
+    // Without a store every job computes.
+    EXPECT_EQ(run(nullptr), cold);
     EXPECT_EQ(computed.load(), 10);
 }
 

@@ -19,6 +19,7 @@
 #include "cache/key.hh"
 #include "cli/driver.hh"
 #include "cli/options.hh"
+#include "common/logging.hh"
 #include "engine/engine.hh"
 #include "engine/registry.hh"
 #include "workloads/models.hh"
@@ -274,7 +275,7 @@ TEST(Engine, RunMatchesRunCases)
     EXPECT_TRUE(rs.single());
     EXPECT_EQ(rs.failureCount(), 0u);
 
-    const CaseResult direct = cli::runCases(req.options());
+    const CaseResult direct = runScenarioCases(req.options());
     const CaseResult &cases = rs.scenarios().front().cases;
     ASSERT_EQ(cases.size(), direct.size());
     for (const auto &[arch, profile] : direct) {
@@ -407,6 +408,29 @@ TEST(Engine, StreamingCallbackSpansBatchInGlobalOrder)
     EXPECT_EQ(sets[0].size(), 2u);
     EXPECT_EQ(sets[1].size(), 1u);
 }
+TEST(Engine, RunBatchKeepsEmptyShardsBesideFullRequests)
+{
+    // A shard past the end of its request's job list owns nothing;
+    // it must come back empty whichever side of the batch it is on.
+    ScenarioRequest full;
+    full.workload(cli::Workload::Gemm).shape(64, 64, 16);
+    ScenarioRequest empty = full;
+    empty.shard(0, 2); // one job: shard 0/2 owns no slice of it
+    Engine eng(EngineConfig{.jobs = 2});
+    for (const bool empty_first : {false, true}) {
+        auto sets = empty_first ? eng.runBatch({empty, full})
+                                : eng.runBatch({full, empty});
+        ASSERT_EQ(sets.size(), 2u);
+        const ResultSet &f = sets[empty_first ? 1 : 0];
+        const ResultSet &e = sets[empty_first ? 0 : 1];
+        ASSERT_TRUE(f.ok()) << f.error();
+        ASSERT_TRUE(e.ok()) << e.error();
+        EXPECT_EQ(f.size(), 1u);
+        EXPECT_EQ(e.size(), 0u);
+        EXPECT_EQ(e.totalJobs(), 1u);
+    }
+}
+
 
 TEST(Engine, ShardOwnsItsContiguousSlice)
 {
@@ -640,6 +664,49 @@ TEST(Engine, PlanForecastsTheCache)
         EXPECT_EQ(p.forecast, ScenarioPlan::Forecast::Miss);
 }
 
+TEST(Engine, PlanAndRunShareTheHitPredicate)
+{
+    const std::string dir = scratchDir("engine_plan_corrupt") + "cache";
+    ScenarioRequest req;
+    req.workload(cli::Workload::Spmm)
+        .shape(64, 64, 16)
+        .sweep("sparsity", "0.3,0.7");
+    Engine eng(EngineConfig{.jobs = 2, .cacheDir = dir});
+    const ResultSet cold = eng.run(req);
+    ASSERT_TRUE(cold.ok()) << cold.error();
+
+    // Corrupt the body of the second scenario's entry, keeping the
+    // valid header so the lookup itself still matches.
+    const std::string path =
+        dir + "/" + eng.plan(req)[1].key.fileName();
+    std::string text;
+    {
+        std::ifstream in(path, std::ios::binary);
+        text.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
+    const auto second_nl = text.find('\n', text.find('\n') + 1);
+    ASSERT_NE(second_nl, std::string::npos);
+    std::ofstream(path, std::ios::binary)
+        << text.substr(0, second_nl + 1) << "stale garbage\n";
+
+    const auto plans = eng.plan(req);
+    ASSERT_EQ(plans.size(), 2u);
+    EXPECT_EQ(plans[0].forecast, ScenarioPlan::Forecast::Hit);
+    EXPECT_EQ(plans[1].forecast, ScenarioPlan::Forecast::Miss);
+
+    // The run agrees with the forecast: the unusable entry is one
+    // miss and one recompute, never also a hit.
+    const ResultSet warm = eng.run(req);
+    ASSERT_TRUE(warm.ok()) << warm.error();
+    EXPECT_NE(warm.cacheStatsLine().find("cache: 1 hits, 1 misses"),
+              std::string::npos)
+        << warm.cacheStatsLine();
+    EXPECT_TRUE(warm.scenarios()[0].cacheHit);
+    EXPECT_FALSE(warm.scenarios()[1].cacheHit);
+    EXPECT_EQ(render(warm), render(cold));
+}
+
 TEST(Engine, DryRunCliSimulatesNothing)
 {
     const std::string dir = scratchDir("engine_dryrun") + "cache";
@@ -713,6 +780,33 @@ TEST(Engine, PayloadBatchRoundTripsThroughTheCache)
     auto second = warm.runPayloadBatch(makeBatch());
     EXPECT_EQ(computed.load(), 4);
     EXPECT_EQ(first, second);
+}
+
+TEST(Engine, PayloadBatchRethrowsLowestIndexedFailure)
+{
+    std::atomic<int> computed{0};
+    std::vector<PayloadJob> batch;
+    for (int i = 0; i < 16; ++i)
+        batch.push_back({cache::figureKey("engine_test", "fail",
+                                          "i=" + std::to_string(i)),
+                         [&computed, i] {
+                             ++computed;
+                             if (i == 11 || i == 5)
+                                 fatal("job ", i, " exploded");
+                             return std::to_string(i);
+                         }});
+    Engine eng(EngineConfig{.jobs = 4});
+    try {
+        eng.runPayloadBatch(batch);
+        FAIL() << "runPayloadBatch() should have thrown";
+    } catch (const std::runtime_error &e) {
+        // Every job ran; the reported failure is the first by index,
+        // independent of scheduling.
+        EXPECT_EQ(computed.load(), 16);
+        EXPECT_NE(std::string(e.what()).find("job 5 exploded"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // ---- the introspection registry ---------------------------------------

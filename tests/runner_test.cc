@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <fstream>
 #include <sstream>
 
 #include "cli/driver.hh"
 #include "common/logging.hh"
+#include "engine/engine.hh"
 #include "runner/aggregate.hh"
 #include "runner/pool.hh"
 #include "runner/shard.hh"
@@ -237,30 +239,38 @@ TEST(Shard, MoreShardsThanJobsYieldsEmptySlices)
 
 // ---- ScenarioPool -----------------------------------------------------
 
-TEST(ScenarioPool, MapCollectsResultsAtTheirIndex)
+/** Uncached jobs that write i * i into their slot; 5 and 11 throw. */
+std::vector<PoolJob>
+squareJobs(std::vector<std::size_t> &slots,
+           std::vector<JobOutcome> &outcomes)
 {
-    const auto results = ScenarioPool(4).map<std::size_t>(
-        32, [](std::size_t i) { return i * i; });
-    ASSERT_EQ(results.size(), 32u);
-    for (std::size_t i = 0; i < results.size(); ++i)
-        EXPECT_EQ(results[i], i * i);
-}
-
-TEST(ScenarioPool, MapRethrowsLowestIndexedFailure)
-{
-    try {
-        ScenarioPool(4).map<int>(16, [](std::size_t i) -> int {
+    std::vector<PoolJob> jobs(slots.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        jobs[i].compute = [i, &slot = slots[i]] {
             if (i == 11 || i == 5)
                 fatal("job ", i, " exploded");
-            return static_cast<int>(i);
-        });
-        FAIL() << "map() should have thrown";
-    } catch (const std::runtime_error &e) {
-        // Every job ran; the reported failure is the first by index,
-        // independent of scheduling.
-        EXPECT_NE(std::string(e.what()).find("job 5 exploded"),
-                  std::string::npos)
-            << e.what();
+            slot = i * i;
+        };
+        jobs[i].outcome = &outcomes[i];
+    }
+    return jobs;
+}
+
+TEST(ScenarioPool, ExecuteFillsEverySlotAndCapturesFailures)
+{
+    std::vector<std::size_t> slots(32, 0);
+    std::vector<JobOutcome> outcomes(32);
+    ScenarioPool(4).execute(squareJobs(slots, outcomes), nullptr);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        if (i == 11 || i == 5) {
+            // A failure stays in its own slot; every other job ran.
+            EXPECT_NE(outcomes[i].error.find("exploded"),
+                      std::string::npos)
+                << i;
+            continue;
+        }
+        EXPECT_EQ(outcomes[i].error, "") << i;
+        EXPECT_EQ(slots[i], i * i);
     }
 }
 
@@ -382,7 +392,7 @@ TEST(ScenarioPool, RealSweepIsDeterministicAcrossWorkerCounts)
     auto run = [&](int workers) {
         return ScenarioPool(workers).run(
             jobs,
-            [](const cli::Options &o) { return cli::runCases(o); });
+            engine::runScenarioCases);
     };
 
     auto serial = run(1);
@@ -400,7 +410,18 @@ TEST(ScenarioPool, RealSweepIsDeterministicAcrossWorkerCounts)
     }
 }
 
-// ---- SweepResult / end-to-end ----------------------------------------
+// ---- sweep table / end-to-end ----------------------------------------
+
+/** Scenarios of @p results that failed. */
+std::size_t
+failureCount(const std::vector<ScenarioResult> &results)
+{
+    return static_cast<std::size_t>(
+        std::count_if(results.begin(), results.end(),
+                      [](const ScenarioResult &r) {
+                          return !r.error.empty();
+                      }));
+}
 
 TEST(SweepResult, CombinedTableHasOneRowPerScenarioArch)
 {
@@ -410,13 +431,12 @@ TEST(SweepResult, CombinedTableHasOneRowPerScenarioArch)
     base.archs = {"canon", "systolic"};
     auto jobs = spec.expand(base);
 
-    auto results = ScenarioPool(2).run(
-        jobs, [](const cli::Options &o) { return cli::runCases(o); });
-    SweepResult sweep(std::move(results));
-    EXPECT_EQ(sweep.failureCount(), 0u);
+    auto results =
+        ScenarioPool(2).run(jobs, engine::runScenarioCases);
+    EXPECT_EQ(failureCount(results), 0u);
 
     std::ostringstream os;
-    sweep.table().print(os);
+    sweepTable(results).print(os);
     const std::string text = os.str();
     EXPECT_NE(text.find("Scenario"), std::string::npos);
     EXPECT_NE(text.find("sparsity=0.3"), std::string::npos);
@@ -434,10 +454,9 @@ TEST(SweepResult, FailedScenarioRendersXRow)
     failed.job = job;
     failed.error = "boom";
 
-    SweepResult sweep({failed});
-    EXPECT_EQ(sweep.failureCount(), 1u);
+    EXPECT_EQ(failureCount({failed}), 1u);
     std::ostringstream os;
-    sweep.table().print(os);
+    sweepTable({failed}).print(os);
     EXPECT_NE(os.str().find("X"), std::string::npos);
 }
 

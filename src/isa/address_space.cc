@@ -5,45 +5,6 @@ namespace canon
 namespace addrspace
 {
 
-AddrRegion
-region(Addr a)
-{
-    if (a < kDmemBase + kDmemSize)
-        return AddrRegion::Dmem;
-    if (a >= kSpadBase && a < kSpadBase + kSpadSize)
-        return AddrRegion::Spad;
-    if (a >= kRegBase && a < kRegBase + kRegSize)
-        return AddrRegion::Reg;
-    if (a >= kPortInBase && a < kPortInBase + kNumDirs)
-        return AddrRegion::PortIn;
-    if (a >= kPortOutBase && a < kPortOutBase + kNumDirs)
-        return AddrRegion::PortOut;
-    if (a == kZeroAddr)
-        return AddrRegion::Zero;
-    if (a == kNullAddr)
-        return AddrRegion::Null;
-    return AddrRegion::Invalid;
-}
-
-Addr
-offset(Addr a)
-{
-    switch (region(a)) {
-      case AddrRegion::Dmem:
-        return static_cast<Addr>(a - kDmemBase);
-      case AddrRegion::Spad:
-        return static_cast<Addr>(a - kSpadBase);
-      case AddrRegion::Reg:
-        return static_cast<Addr>(a - kRegBase);
-      case AddrRegion::PortIn:
-        return static_cast<Addr>(a - kPortInBase);
-      case AddrRegion::PortOut:
-        return static_cast<Addr>(a - kPortOutBase);
-      default:
-        return 0;
-    }
-}
-
 std::string
 toString(Addr a)
 {

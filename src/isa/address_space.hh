@@ -56,10 +56,45 @@ constexpr Addr kZeroAddr = 0x05F0;
 constexpr Addr kNullAddr = 0x05FF;
 
 /** Classify an address. */
-AddrRegion region(Addr a);
+constexpr AddrRegion
+region(Addr a)
+{
+    if (a < kDmemBase + kDmemSize)
+        return AddrRegion::Dmem;
+    if (a >= kSpadBase && a < kSpadBase + kSpadSize)
+        return AddrRegion::Spad;
+    if (a >= kRegBase && a < kRegBase + kRegSize)
+        return AddrRegion::Reg;
+    if (a >= kPortInBase && a < kPortInBase + kNumDirs)
+        return AddrRegion::PortIn;
+    if (a >= kPortOutBase && a < kPortOutBase + kNumDirs)
+        return AddrRegion::PortOut;
+    if (a == kZeroAddr)
+        return AddrRegion::Zero;
+    if (a == kNullAddr)
+        return AddrRegion::Null;
+    return AddrRegion::Invalid;
+}
 
 /** Offset of @p a within its region (slot index / register number). */
-Addr offset(Addr a);
+constexpr Addr
+offset(Addr a)
+{
+    switch (region(a)) {
+      case AddrRegion::Dmem:
+        return static_cast<Addr>(a - kDmemBase);
+      case AddrRegion::Spad:
+        return static_cast<Addr>(a - kSpadBase);
+      case AddrRegion::Reg:
+        return static_cast<Addr>(a - kRegBase);
+      case AddrRegion::PortIn:
+        return static_cast<Addr>(a - kPortInBase);
+      case AddrRegion::PortOut:
+        return static_cast<Addr>(a - kPortOutBase);
+      default:
+        return 0;
+    }
+}
 
 inline Addr
 dmem(int slot)

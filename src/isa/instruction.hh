@@ -44,7 +44,11 @@ struct Instruction
     std::uint8_t route = 0;
     bool hold = false;
 
-    bool isNop() const { return op == OpCode::Nop && route == 0; }
+    constexpr bool
+    isNop() const
+    {
+        return op == OpCode::Nop && route == 0;
+    }
 
     /** Pack into the 64-bit word carried by the instruction NoC. */
     std::uint64_t encode() const;
@@ -55,7 +59,7 @@ struct Instruction
     /** Disassemble, e.g. "SVMAC W_IN, DMEM[3] -> SPAD[1] [N>S]". */
     std::string toString() const;
 
-    friend bool
+    friend constexpr bool
     operator==(const Instruction &a, const Instruction &b)
     {
         return a.op == b.op && a.op1 == b.op1 && a.op2 == b.op2 &&
@@ -64,7 +68,7 @@ struct Instruction
 };
 
 /** A NOP instruction constant. */
-inline Instruction
+constexpr Instruction
 nopInst()
 {
     return Instruction{};

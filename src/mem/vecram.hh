@@ -44,8 +44,21 @@ class VecRam
         return data_.size() * kSimdWidth * elemBytes_;
     }
 
-    const Vec4 &read(int slot);
-    void write(int slot, const Vec4 &v);
+    const Vec4 &
+    read(int slot)
+    {
+        checkSlot(slot);
+        ++reads_;
+        return data_[static_cast<std::size_t>(slot)];
+    }
+
+    void
+    write(int slot, const Vec4 &v)
+    {
+        checkSlot(slot);
+        ++writes_;
+        data_[static_cast<std::size_t>(slot)] = v;
+    }
 
     /** Direct initialization (data placement before execution). */
     void poke(int slot, const Vec4 &v);
@@ -61,7 +74,12 @@ class VecRam
     }
 
   private:
-    void checkSlot(int slot) const;
+    void
+    checkSlot(int slot) const
+    {
+        panicIf(slot < 0 || slot >= slots(), "VecRam ", name_, ": slot ",
+                slot, " out of ", slots());
+    }
 
     std::string name_;
     int elemBytes_;

@@ -10,6 +10,13 @@
  * PE in cycle 1, then traverses a 3-cycle pipeline before reaching the
  * second PE in cycle 4" (Section 2).
  *
+ * The hardware shifts the encoded 64-bit word (encode/decode
+ * round-trips exactly). The model lowers the word once, at issue, into
+ * a MicroOp (isa/micro_op.hh) and keeps the stages in a ring: a shift
+ * moves the head index back one slot and writes the new word there, so
+ * no stage is copied and every PE of the row reads the same lowered
+ * operands by reference.
+ *
  * freeze() supports the spatial execution mode of Appendix D: after a
  * configuration phase has shifted per-column instructions into place,
  * freezing stops propagation and every PE keeps re-executing its
@@ -22,7 +29,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "isa/instruction.hh"
+#include "common/logging.hh"
+#include "isa/micro_op.hh"
 #include "sim/clocked.hh"
 
 namespace canon
@@ -39,17 +47,28 @@ class InstPipeline final : public Clocked
 
     explicit InstPipeline(int columns);
 
-    /** Stage the instruction entering the row this cycle. */
+    /** Lower and stage the instruction entering the row this cycle. */
     void issue(const Instruction &inst);
 
     /** Instruction visible at PE column @p c this cycle. */
-    const Instruction &tap(int c) const;
+    const MicroOp &
+    tap(int c) const
+    {
+        panicIf(c < 0 || c >= columns_, "InstPipeline: tap ", c,
+                " out of ", columns_);
+        return ring_[slot(static_cast<std::size_t>(kIssueStagger) *
+                          static_cast<std::size_t>(c))];
+    }
 
     /** Stop/resume shifting (spatial mode). */
     void freeze(bool on) { frozen_ = on; }
     bool frozen() const { return frozen_; }
 
-    /** True iff every stage currently holds a NOP. */
+    /**
+     * True iff every stage holds the NOP word. Word-for-word: an
+     * instruction with op == Nop but live address or route fields is
+     * still in flight.
+     */
     bool drained() const;
 
     int columns() const { return columns_; }
@@ -58,13 +77,18 @@ class InstPipeline final : public Clocked
     void tickCommit() override;
 
   private:
-    // The hardware shifts the encoded 64-bit word (encode/decode
-    // round-trips exactly); the model keeps stages decoded so a tap is
-    // a reference into the shift array instead of a decode per PE per
-    // cycle.
+    /** Ring slot of pipeline depth @p depth. */
+    std::size_t
+    slot(std::size_t depth) const
+    {
+        const std::size_t i = head_ + depth;
+        return i < ring_.size() ? i : i - ring_.size();
+    }
+
     int columns_;
-    std::vector<Instruction> stages_;
-    Instruction staged_;
+    std::vector<MicroOp> ring_; //!< depth d lives at slot(d)
+    std::size_t head_ = 0;
+    MicroOp staged_ = kNopMicroOp;
     bool issuedThisCycle_ = false;
     bool frozen_ = false;
 };

@@ -21,6 +21,7 @@
 
 #include <array>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/latch.hh"
@@ -61,15 +62,49 @@ class Router
     }
 
     /** Reset per-cycle direction-usage accounting. */
-    void beginCycle();
+    void
+    beginCycle()
+    {
+        usedIn_.fill(false);
+        usedOut_.fill(false);
+    }
 
-    bool hasInput(Dir d) const;
+    bool
+    hasInput(Dir d) const
+    {
+        auto *ch = in_[static_cast<int>(d)];
+        return ch && !ch->empty();
+    }
 
     /** Consume the head of the @p d input channel (once per cycle). */
-    Vec4 readIn(Dir d);
+    Vec4
+    readIn(Dir d)
+    {
+        auto *ch = in_[static_cast<int>(d)];
+        panicIf(!ch, "Router: no channel bound at ", dirName(d), "_IN");
+        panicIf(usedIn_[static_cast<int>(d)], "Router: second ",
+                dirName(d),
+                "_IN transfer in one cycle (one per direction per cycle)");
+        usedIn_[static_cast<int>(d)] = true;
+        ++hops_;
+        Vec4 v = ch->front();
+        ch->pop();
+        return v;
+    }
 
     /** Push onto the @p d output channel (once per cycle). */
-    void writeOut(Dir d, const Vec4 &v);
+    void
+    writeOut(Dir d, const Vec4 &v)
+    {
+        auto *ch = out_[static_cast<int>(d)];
+        panicIf(!ch, "Router: no channel bound at ", dirName(d), "_OUT");
+        panicIf(usedOut_[static_cast<int>(d)], "Router: second ",
+                dirName(d),
+                "_OUT transfer in one cycle (one per direction per cycle)");
+        usedOut_[static_cast<int>(d)] = true;
+        ++hops_;
+        ch->push(v);
+    }
 
     bool
     canWriteOut(Dir d) const

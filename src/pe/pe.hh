@@ -70,7 +70,11 @@ class Pe final : public Clocked
     void pokeReg(int r, const Vec4 &v) { regs_[r] = v; }
 
     /** True iff no instruction is in flight in the pipeline. */
-    bool idle() const;
+    bool
+    idle() const
+    {
+        return !stages_[execSlot_].valid && !stages_[commitSlot_].valid;
+    }
 
     /** Counter read for the obs cycle accountant (a cycle with no
      *  busyCycles delta is an idle cycle). */
@@ -87,18 +91,23 @@ class Pe final : public Clocked
 
   private:
     /**
-     * Pipeline register between LOAD/EXECUTE and EXECUTE/COMMIT.
-     * Kept trivially copyable (plain Vec4 + valid flags rather than
-     * optionals) so the per-cycle register updates are flat copies.
+     * The pipeline registers of one in-flight instruction, from LOAD
+     * through EXECUTE to COMMIT. Three of them rotate in place: each
+     * cycle LOAD fills one, EXECUTE adds its result to the one LOAD
+     * filled last cycle, and COMMIT drains the one before that;
+     * tickCommit advances the rotation instead of copying registers.
+     * Value fields hold stale data unless the instruction's op writes
+     * them (and the route values unless their valid bit is set); no
+     * stage reads them otherwise.
      */
     struct StageReg
     {
-        Instruction inst = nopInst();
-        Vec4 a;        //!< op1 value
-        Vec4 b;        //!< op2 value
-        Vec4 resOld;   //!< prior contents of res (MAC accumulate)
-        Vec4 west;     //!< west-in value for VvMacW
-        Vec4 resultForwarded; //!< EXECUTE output (forwarding network)
+        MicroOp uop = kNopMicroOp;
+        Vec4 a;      //!< op1 value
+        Vec4 b;      //!< op2 value
+        Vec4 resOld; //!< prior contents of res (MAC accumulate)
+        Vec4 west;   //!< west-in value for VvMacW
+        Vec4 result; //!< EXECUTE output (forwarding network)
         Vec4 routeN2S;
         Vec4 routeW2E;
         bool routeN2SValid = false;
@@ -106,9 +115,9 @@ class Pe final : public Clocked
         bool valid = false;
     };
 
-    void commitStage(const StageReg &ex);
-    StageReg executeStage(const StageReg &ld);
-    StageReg loadStage(const Instruction &inst, const StageReg &fwd);
+    void commitStage(const StageReg &ex, const StageReg &next);
+    void executeStage(StageReg &ld);
+    void loadStage(StageReg &ld, const MicroOp &uop, const StageReg &fwd);
 
     /**
      * Spatial-mode firing rule: a held instruction executes only when
@@ -116,11 +125,11 @@ class Pe final : public Clocked
      * (Appendix D; the streaming mode instead relies on orchestrator
      * determinism and panics on a violated schedule).
      */
-    bool spatialReady(const Instruction &inst) const;
+    bool spatialReady(const MicroOp &uop) const;
 
-    Vec4 readOperand(Addr a, const StageReg &fwd);
+    Vec4 readOperand(const Operand &o, const StageReg &fwd);
     Vec4 readPort(Dir d);
-    void writeDest(Addr a, const Vec4 &v);
+    void writeDest(const Operand &o, const Vec4 &v);
 
     PeGeometry geo_;
     std::string name_;
@@ -131,10 +140,10 @@ class Pe final : public Clocked
     InstPipeline *pipe_ = nullptr;
     PeMode mode_ = PeMode::Streaming;
 
-    StageReg ldReg_;  //!< instruction between LOAD and EXECUTE
-    StageReg exReg_;  //!< instruction between EXECUTE and COMMIT
-    StageReg ldNext_;
-    StageReg exNext_;
+    std::array<StageReg, 3> stages_{};
+    std::uint8_t loadSlot_ = 0;   //!< filled by LOAD this cycle
+    std::uint8_t execSlot_ = 1;   //!< between LOAD and EXECUTE
+    std::uint8_t commitSlot_ = 2; //!< between EXECUTE and COMMIT
 
     // Per-cycle port-read cache: one physical pop feeds every consumer
     // of the same input port in one instruction. Valid bits live in a

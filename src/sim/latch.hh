@@ -13,13 +13,17 @@
  *    Overflow and pop-from-empty panic: in Canon, orchestration is
  *    deterministic by construction, so either indicates a mis-programmed
  *    FSM (or a simulator bug), never a run-time condition to recover from.
+ *    Storage is a fixed-capacity ring allocated once at construction:
+ *    a staged push writes its slot past the committed tail right away
+ *    (capacity is checked against committed plus staged entries, so the
+ *    slot is free), and commit only moves indices.
  */
 
 #ifndef CANON_SIM_LATCH_HH
 #define CANON_SIM_LATCH_HH
 
-#include <deque>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -61,14 +65,14 @@ class ChannelFifo
 {
   public:
     explicit ChannelFifo(std::size_t capacity, std::string name = "chan")
-        : cap_(capacity), name_(std::move(name))
+        : buf_(capacity), name_(std::move(name))
     {
-        panicIf(cap_ == 0, "ChannelFifo ", name_, ": zero capacity");
+        panicIf(capacity == 0, "ChannelFifo ", name_, ": zero capacity");
     }
 
-    bool empty() const { return q_.empty(); }
-    std::size_t size() const { return q_.size(); }
-    std::size_t capacity() const { return cap_; }
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    std::size_t capacity() const { return buf_.size(); }
 
     /**
      * Space check for a producer this cycle. Conservative: staged pushes
@@ -78,15 +82,15 @@ class ChannelFifo
     bool
     canPush() const
     {
-        return q_.size() + stagedPush_.size() < cap_;
+        return size_ + stagedPushes_ < buf_.size();
     }
 
     /** Head visible this cycle. */
     const T &
     front() const
     {
-        panicIf(q_.empty(), "ChannelFifo ", name_, ": front() on empty");
-        return q_.front();
+        panicIf(size_ == 0, "ChannelFifo ", name_, ": front() on empty");
+        return buf_[head_];
     }
 
     /** Stage a push; panics on overflow (deterministic design violated). */
@@ -94,15 +98,16 @@ class ChannelFifo
     push(T v)
     {
         panicIf(!canPush(), "ChannelFifo ", name_, ": overflow (cap=",
-                cap_, ")");
-        stagedPush_.push_back(std::move(v));
+                buf_.size(), ")");
+        buf_[wrap(head_ + size_ + stagedPushes_)] = std::move(v);
+        ++stagedPushes_;
     }
 
     /** Stage a pop of the current head. */
     void
     pop()
     {
-        panicIf(q_.empty(), "ChannelFifo ", name_, ": pop() on empty");
+        panicIf(size_ == 0, "ChannelFifo ", name_, ": pop() on empty");
         panicIf(stagedPop_, "ChannelFifo ", name_, ": double pop in cycle");
         stagedPop_ = true;
     }
@@ -111,27 +116,34 @@ class ChannelFifo
     commit()
     {
         if (stagedPop_) {
-            q_.pop_front();
+            head_ = wrap(head_ + 1);
+            --size_;
             stagedPop_ = false;
         }
-        for (auto &v : stagedPush_)
-            q_.push_back(std::move(v));
-        stagedPush_.clear();
+        size_ += stagedPushes_;
+        stagedPushes_ = 0;
     }
 
     void
     clear()
     {
-        q_.clear();
-        stagedPush_.clear();
+        head_ = size_ = stagedPushes_ = 0;
         stagedPop_ = false;
     }
 
   private:
-    std::deque<T> q_;
-    std::vector<T> stagedPush_;
+    /** Ring index of @p i, for any i below twice the capacity. */
+    std::size_t
+    wrap(std::size_t i) const
+    {
+        return i < buf_.size() ? i : i - buf_.size();
+    }
+
+    std::vector<T> buf_;
+    std::size_t head_ = 0;         //!< slot of the committed head
+    std::size_t size_ = 0;         //!< committed entries
+    std::size_t stagedPushes_ = 0; //!< written past the tail this cycle
     bool stagedPop_ = false;
-    std::size_t cap_;
     std::string name_;
 };
 

@@ -155,21 +155,23 @@ CanonFabric::load(KernelMapping mapping)
     fatalIf(!mapping.program, "CanonFabric: mapping without a program");
     fatalIf(static_cast<int>(mapping.rowStreams.size()) > cfg_.rows,
             "CanonFabric: more row streams than rows");
-    mapping_ = std::move(mapping);
     loaded_ = true;
+    program_ = std::move(mapping.program);
 
-    out_ = WordMatrix(mapping_.outRows, mapping_.outCols);
+    out_ = WordMatrix(mapping.outRows, mapping.outCols);
 
+    // The streams move into the orchestrators that consume them: the
+    // fabric keeps one copy of the mapping, not two.
     for (int r = 0; r < cfg_.rows; ++r) {
-        orchs_[r]->loadProgram(mapping_.program.get());
-        if (r < static_cast<int>(mapping_.rowStreams.size()))
-            orchs_[r]->setStream(mapping_.rowStreams[r]);
+        orchs_[r]->loadProgram(program_.get());
+        if (r < static_cast<int>(mapping.rowStreams.size()))
+            orchs_[r]->setStream(std::move(mapping.rowStreams[r]));
     }
 
     // Data placement (the second IR of Figure 6).
-    for (std::size_t r = 0; r < mapping_.dmemImage.size(); ++r) {
-        for (std::size_t c = 0; c < mapping_.dmemImage[r].size(); ++c) {
-            const auto &slots = mapping_.dmemImage[r][c];
+    for (std::size_t r = 0; r < mapping.dmemImage.size(); ++r) {
+        for (std::size_t c = 0; c < mapping.dmemImage[r].size(); ++c) {
+            const auto &slots = mapping.dmemImage[r][c];
             auto &pe_ref = pe(static_cast<int>(r), static_cast<int>(c));
             panicIf(static_cast<int>(slots.size()) >
                         pe_ref.dmem().slots(),
@@ -179,11 +181,13 @@ CanonFabric::load(KernelMapping mapping)
                 pe_ref.dmem().poke(static_cast<int>(s), slots[s]);
         }
     }
+    // Placed: the PEs hold the data now.
+    mapping.dmemImage = {};
 
     // Edge movers and collectors.
     std::vector<std::function<void()>> regs;
     sink_ = std::make_unique<EdgeSink>();
-    if (mapping_.collector == CollectorKind::South) {
+    if (mapping.collector == CollectorKind::South) {
         std::vector<DataChannel *> bottom;
         for (int c = 0; c < cfg_.cols; ++c)
             bottom.push_back(vert_[cfg_.rows][c].get());
@@ -195,7 +199,7 @@ CanonFabric::load(KernelMapping mapping)
             sink_->add(horiz_[r][cfg_.cols].get());
     } else {
         eastCollector_ = std::make_unique<EastCollector>(
-            &out_, mapping_.eastColsPerRow);
+            &out_, mapping.eastColsPerRow);
         for (int r = 0; r < cfg_.rows; ++r)
             eastCollector_->addRow(r, horiz_[r][cfg_.cols].get(),
                                    &outRecs_[r]);
@@ -209,13 +213,13 @@ CanonFabric::load(KernelMapping mapping)
     }
     regs.push_back([this] { sim_.addTyped(sink_.get()); });
 
-    if (!mapping_.northFeed.empty()) {
+    if (!mapping.northFeed.empty()) {
         std::vector<DataChannel *> top;
         for (int c = 0; c < cfg_.cols; ++c)
             top.push_back(vert_[0][c].get());
         feeder_ = std::make_unique<NorthFeeder>(std::move(top),
                                                 msg_[0].get());
-        feeder_->setFeed(mapping_.northFeed);
+        feeder_->setFeed(std::move(mapping.northFeed));
         regs.push_back([this] { sim_.addTyped(feeder_.get()); });
     }
     registerAll(std::move(regs), 1);

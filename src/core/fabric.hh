@@ -144,7 +144,8 @@ class CanonFabric
 
     std::vector<std::deque<OutRec>> outRecs_;
 
-    KernelMapping mapping_;
+    /** The loaded kernel's program; the orchestrators point into it. */
+    std::shared_ptr<OrchProgram> program_;
     WordMatrix out_;
 
     std::unique_ptr<NorthFeeder> feeder_;

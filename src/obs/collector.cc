@@ -29,6 +29,14 @@ Collector::recordFabricRun(const StatGroup &stats, std::uint64_t cycles,
     obs_.runs.push_back(std::move(run));
 }
 
+void
+Collector::adoptRuns(Collector &child)
+{
+    for (auto &run : child.obs_.runs)
+        obs_.runs.push_back(std::move(run));
+    child.obs_.runs.clear();
+}
+
 std::shared_ptr<const ScenarioObs>
 Collector::finish()
 {
@@ -41,9 +49,9 @@ current()
     return tlsCollector;
 }
 
-ScopedCollector::ScopedCollector(Collector &c) : prev_(tlsCollector)
+ScopedCollector::ScopedCollector(Collector *c) : prev_(tlsCollector)
 {
-    tlsCollector = &c;
+    tlsCollector = c;
 }
 
 ScopedCollector::~ScopedCollector()

@@ -106,6 +106,13 @@ class Collector
     /** Attach host phase timings (called by the scenario runner). */
     void recordHostTimes(const HostPhaseTimes &t) { obs_.host = t; }
 
+    /**
+     * Append @p child's fabric runs after this collector's own (the
+     * pool merges a forked index's child collector this way, in
+     * index order); @p child keeps none.
+     */
+    void adoptRuns(Collector &child);
+
     /** Freeze the observations; the collector is spent afterwards. */
     std::shared_ptr<const ScenarioObs> finish();
 
@@ -120,11 +127,15 @@ class Collector
  */
 Collector *current();
 
-/** Installs @p c as current() for the enclosing scope (re-entrant). */
+/**
+ * Installs @p c as current() for the enclosing scope (re-entrant); a
+ * null @p c observes nothing in the scope.
+ */
 class ScopedCollector
 {
   public:
-    explicit ScopedCollector(Collector &c);
+    explicit ScopedCollector(Collector &c) : ScopedCollector(&c) {}
+    explicit ScopedCollector(Collector *c);
     ~ScopedCollector();
 
     ScopedCollector(const ScopedCollector &) = delete;

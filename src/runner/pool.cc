@@ -1,10 +1,11 @@
 #include "runner/pool.hh"
 
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include "cache/key.hh"
@@ -16,40 +17,216 @@ namespace canon
 namespace runner
 {
 
+namespace
+{
+
+/** The unclaimed and unfinished indices of one parallelFor call. */
+struct ForkGroup
+{
+    const IndexFn *fn;
+    std::size_t front;      //!< next index a thief takes
+    std::size_t back;       //!< one past the next index the owner takes
+    std::size_t unfinished; //!< indices not yet finished
+};
+
+/**
+ * One forEach pass: the top-level jobs [0, count) and a board of fork
+ * groups opened by the jobs while they run, all under one mutex and
+ * condvar. Workers take a forked index before a fresh job (it belongs
+ * to a job already running); a forking thread takes its own indices
+ * from the back and, while stolen ones are out, helps only with
+ * forked indices. Every worker installs the pass as its thread's
+ * ForkJoinExecutor, so parallelFor inside a job (or inside a forked
+ * index) reaches it.
+ */
+class Pass final : public ForkJoinExecutor
+{
+  public:
+    Pass(std::size_t count, int workers, const IndexFn &task)
+        : count_(count), workers_(workers), task_(task)
+    {
+    }
+
+    /** Run the pass from the calling thread; returns once it is done. */
+    void run();
+
+    void forkJoin(std::size_t n, const IndexFn &fn) override;
+
+  private:
+    /** A worker: forked indices first, then jobs, until none remain. */
+    void work();
+
+    /** Claim and run the oldest group's front index; false if none. */
+    bool runForked(std::unique_lock<std::mutex> &lock);
+
+    /** Run index @p i of @p g unlocked, then count it finished. */
+    void runIndex(std::unique_lock<std::mutex> &lock, ForkGroup &g,
+                  std::size_t i);
+
+    /** Drop @p g from the board once its last index is claimed. */
+    void closeIfClaimed(ForkGroup &g);
+
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    const std::size_t count_;
+    const int workers_;
+    const IndexFn &task_;
+    std::size_t nextJob_ = 0;
+    std::size_t runningJobs_ = 0;
+    std::vector<ForkGroup *> board_; //!< groups with unclaimed indices
+    std::vector<std::thread> threads_;
+    int started_ = 0; //!< worker loops started, the caller's included
+    bool forked_ = false;
+};
+
 void
-ScenarioPool::forEach(
-    std::size_t count,
-    const std::function<void(std::size_t)> &task) const
+Pass::run()
+{
+    const int up_front = static_cast<int>(
+        std::min(count_, static_cast<std::size_t>(workers_)));
+    if (up_front == 1) {
+        // One job runs on the caller's thread; its first fork starts
+        // the helpers.
+        started_ = 1;
+        work();
+    } else {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (; started_ < up_front; ++started_)
+            threads_.emplace_back([this] { work(); });
+    }
+    // Threads are only added by running workers, so once every thread
+    // seen so far has been joined, none can be added any more.
+    for (std::size_t t = 0;; ++t) {
+        std::thread th;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (t == threads_.size())
+                return;
+            th = std::move(threads_[t]);
+        }
+        th.join();
+    }
+}
+
+void
+Pass::work()
+{
+    ScopedForkJoinExecutor scope(this);
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        if (runForked(lock))
+            continue;
+        if (nextJob_ < count_) {
+            const std::size_t i = nextJob_++;
+            ++runningJobs_;
+            lock.unlock();
+            task_(i);
+            lock.lock();
+            if (--runningJobs_ == 0 && nextJob_ == count_)
+                cv_.notify_all();
+            continue;
+        }
+        // A running job may still fork: stay until none is left.
+        if (runningJobs_ == 0)
+            return;
+        cv_.wait(lock);
+    }
+}
+
+bool
+Pass::runForked(std::unique_lock<std::mutex> &lock)
+{
+    if (board_.empty())
+        return false;
+    ForkGroup &g = *board_.front();
+    const std::size_t i = g.front++;
+    closeIfClaimed(g);
+    runIndex(lock, g, i);
+    return true;
+}
+
+void
+Pass::runIndex(std::unique_lock<std::mutex> &lock, ForkGroup &g,
+               std::size_t i)
+{
+    lock.unlock();
+    (*g.fn)(i);
+    lock.lock();
+    if (--g.unfinished == 0)
+        cv_.notify_all();
+}
+
+void
+Pass::closeIfClaimed(ForkGroup &g)
+{
+    if (g.front == g.back)
+        board_.erase(std::find(board_.begin(), board_.end(), &g));
+}
+
+void
+Pass::forkJoin(std::size_t n, const IndexFn &fn)
+{
+    // Each index observes into a child of the forking job's collector
+    // (or into none: a helper must not report into its own job's);
+    // the children merge in index order after the join, so artifacts
+    // match a serial run whatever ran where.
+    obs::Collector *parent = obs::current();
+    std::vector<std::unique_ptr<obs::Collector>> children;
+    if (parent)
+        for (std::size_t i = 0; i < n; ++i)
+            children.push_back(
+                std::make_unique<obs::Collector>(parent->options()));
+    const IndexFn observed = [&](std::size_t i) {
+        obs::ScopedCollector scope(parent ? children[i].get() : nullptr);
+        fn(i);
+    };
+
+    ForkGroup g{&observed, 0, n, n};
+    std::unique_lock<std::mutex> lock(mutex_);
+    board_.push_back(&g);
+    if (!forked_) {
+        // The first fork of the pass starts the remaining helpers.
+        forked_ = true;
+        try {
+            for (; started_ < workers_; ++started_)
+                threads_.emplace_back([this] { work(); });
+        } catch (const std::system_error &) {
+            // Out of threads: the ones running share the work.
+        }
+    }
+    cv_.notify_all();
+    for (;;) {
+        if (g.front < g.back) {
+            const std::size_t i = --g.back;
+            closeIfClaimed(g);
+            runIndex(lock, g, i);
+        } else if (g.unfinished == 0) {
+            break;
+        } else if (!runForked(lock)) {
+            cv_.wait(lock);
+        }
+    }
+    lock.unlock();
+    for (auto &child : children)
+        parent->adoptRuns(*child);
+}
+
+} // namespace
+
+void
+ScenarioPool::forEach(std::size_t count, const IndexFn &task) const
 {
     if (count == 0)
         return;
-
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count)
-                return;
+    const int workers = std::clamp(workers_, 1, 256);
+    if (workers == 1) {
+        // Degenerate pool: run inline, no thread spawn, no forking.
+        ScopedForkJoinExecutor serial(nullptr);
+        for (std::size_t i = 0; i < count; ++i)
             task(i);
-        }
-    };
-
-    const int n = std::clamp(
-        workers_, 1,
-        static_cast<int>(std::min<std::size_t>(count, 256)));
-    if (n == 1) {
-        // Degenerate pool: run inline, no thread spawn.
-        worker();
         return;
     }
-
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(n));
-    for (int t = 0; t < n; ++t)
-        threads.emplace_back(worker);
-    for (auto &t : threads)
-        t.join();
+    Pass(count, workers, task).run();
 }
 
 bool

@@ -31,6 +31,11 @@
  *  - A job's closures are called from one worker thread, up to
  *    workers() jobs at a time; they must not touch shared mutable
  *    state without their own synchronization.
+ *  - compute() may call parallelFor (common/fork_join.hh): its
+ *    indices run on idle workers of the same pass, each index
+ *    writing its own slot. An observed job's indices record into
+ *    child collectors that merge in index order after the join, so
+ *    its obs artifacts match a serial run.
  *  - Each outcome lands in its job's slot, which makes the output
  *    ordering -- and therefore any rendered table or CSV --
  *    deterministic and independent of thread count and scheduling.
@@ -48,6 +53,7 @@
 #include <vector>
 
 #include "cache/store.hh"
+#include "common/fork_join.hh"
 #include "obs/collector.hh"
 #include "runner/cancel.hh"
 #include "runner/sweep.hh"
@@ -195,13 +201,13 @@ class ScenarioPool
 
   private:
     /**
-     * Run @p task for every index in [0, count), spread across the
-     * worker threads. Workers pull indices from a shared atomic
-     * counter, so one slow job cannot strand a static stripe behind
-     * it. @p task must not throw.
+     * Run @p task for every index in [0, count): a work-stealing pass
+     * over min(workers, count) threads (inline when that is one). A
+     * task that calls parallelFor (common/fork_join.hh) offers its
+     * indices to the pass; the first such fork starts the remaining
+     * helpers, up to workers. @p task must not throw.
      */
-    void forEach(std::size_t count,
-                 const std::function<void(std::size_t)> &task) const;
+    void forEach(std::size_t count, const IndexFn &task) const;
 
     int workers_;
 };

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/bitfield.hh"
+#include "common/fork_join.hh"
 
 namespace canon
 {
@@ -218,28 +219,36 @@ ArchSuite::sddmmWindow(std::int64_t seq, std::int64_t k,
 CaseResult
 ArchSuite::model(const ModelSpec &spec, std::uint64_t seed) const
 {
-    CaseResult total;
-    std::uint64_t salt = seed;
-    for (const auto &layer : spec.layers) {
-        CaseResult one;
+    // Layers are independent (layer i seeds from seed + i), so they
+    // fork across idle pool workers; each lands in its own slot and
+    // the sum below runs in layer order, as a serial loop would.
+    std::vector<CaseResult> layers(spec.layers.size());
+    parallelFor(spec.layers.size(), [&](std::size_t i) {
+        const auto &layer = spec.layers[i];
+        const std::uint64_t salt = seed + i;
         switch (layer.kind) {
           case LayerKind::Gemm:
-            one = gemm(layer.m, layer.k, layer.n, salt);
+            layers[i] = gemm(layer.m, layer.k, layer.n, salt);
             break;
           case LayerKind::Spmm:
-            one = spmm(layer.m, layer.k, layer.n, layer.sparsity,
-                       salt);
+            layers[i] = spmm(layer.m, layer.k, layer.n, layer.sparsity,
+                             salt);
             break;
           case LayerKind::SddmmU:
-            one = sddmm(layer.m, layer.k, layer.n, layer.sparsity,
-                        salt);
+            layers[i] = sddmm(layer.m, layer.k, layer.n,
+                              layer.sparsity, salt);
             break;
           case LayerKind::SddmmWin:
-            one = sddmmWindow(layer.m, layer.k, layer.window, salt);
+            layers[i] = sddmmWindow(layer.m, layer.k, layer.window,
+                                    salt);
             break;
         }
-        for (auto &[arch, profile] : one) {
-            profile.scale(layer.repeats);
+    });
+
+    CaseResult total;
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        for (auto &[arch, profile] : layers[i]) {
+            profile.scale(spec.layers[i].repeats);
             auto it = total.find(arch);
             if (it == total.end()) {
                 profile.workload = spec.name;
@@ -248,7 +257,6 @@ ArchSuite::model(const ModelSpec &spec, std::uint64_t seed) const
                 it->second.accumulate(profile);
             }
         }
-        ++salt;
     }
     return total;
 }

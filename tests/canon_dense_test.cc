@@ -105,6 +105,10 @@ struct NmParam
     int k;
     std::uint64_t seed;
 };
+// The test ID names this param by its raw bytes (it has no printer),
+// so the struct must have no padding: padding bytes are indeterminate
+// and would change the ID from build to build.
+static_assert(sizeof(NmParam) == 4 * sizeof(int) + sizeof(std::uint64_t));
 
 class NmSweep : public ::testing::TestWithParam<NmParam>
 {

@@ -80,6 +80,11 @@ struct SddmmParam
     int m;
     std::uint64_t seed;
 };
+// The test ID names this param by its raw bytes (it has no printer),
+// so the struct must have no padding: padding bytes are indeterminate
+// and would change the ID from build to build.
+static_assert(sizeof(SddmmParam) ==
+              sizeof(double) + 2 * sizeof(int) + sizeof(std::uint64_t));
 
 class SddmmSweep : public ::testing::TestWithParam<SddmmParam>
 {

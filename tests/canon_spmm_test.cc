@@ -94,9 +94,15 @@ struct SweepParam
     int rows;
     int cols;
     int m;
-    int k;
+    std::int64_t k; //!< 64-bit: fills what would be padding before seed
     std::uint64_t seed;
 };
+// The test ID names this param by its raw bytes (it has no printer),
+// so the struct must have no padding: padding bytes are indeterminate
+// and would change the ID from build to build.
+static_assert(sizeof(SweepParam) == sizeof(double) + 4 * sizeof(int) +
+                                        sizeof(std::int64_t) +
+                                        sizeof(std::uint64_t));
 
 class SpmmSweep : public ::testing::TestWithParam<SweepParam>
 {
@@ -107,8 +113,9 @@ TEST_P(SpmmSweep, MatchesReference)
     const auto p = GetParam();
     const auto cfg = smallConfig(p.rows, p.cols, p.spad);
     Rng rng(p.seed);
-    const auto a = randomSparse(p.m, p.k, p.sparsity, rng);
-    const auto b = randomDense(p.k, cfg.cols * kSimdWidth, rng);
+    const int k = static_cast<int>(p.k);
+    const auto a = randomSparse(p.m, k, p.sparsity, rng);
+    const auto b = randomDense(k, cfg.cols * kSimdWidth, rng);
     const auto csr = CsrMatrix::fromDense(a);
 
     EXPECT_EQ(runSpmm(csr, b, cfg), reference::spmm(csr, b))

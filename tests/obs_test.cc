@@ -948,6 +948,53 @@ TEST(ObsReport, AccountingArtifactsByteIdenticalAcrossJobs)
     EXPECT_NE(t1.str().find("fabric"), std::string::npos);
 }
 
+TEST(ObsReport, ModelArtifactsByteIdenticalAcrossJobs)
+{
+    // A model's layers fork across the pool at --jobs 4; each layer's
+    // fabric runs record into a child collector merged in layer
+    // order, so every artifact matches the serial run. Two scenarios
+    // on four workers: forks both start helpers and meet other jobs.
+    cli::Options opt;
+    opt.model = "resnet50";
+    opt.rows = 2;
+    opt.cols = 2;
+    opt.sweepAxes.emplace_back("sparsity", "0.5,0.8");
+    opt.common.obs.sampleEvery = 1000;
+    opt.common.obs.seriesOut = "unused-s.csv";
+    opt.common.obs.traceOut = "unused-t.json";
+    opt.common.obs.statsJsonOut = "unused-j.json";
+    opt.common.obs.cycleAccounting = true;
+    const auto request = engine::ScenarioRequest::fromOptions(opt);
+
+    engine::Engine one(engine::EngineConfig{.jobs = 1});
+    engine::Engine four(engine::EngineConfig{.jobs = 4});
+    const auto rs1 = one.run(request);
+    const auto rs4 = four.run(request);
+    ASSERT_TRUE(rs1.ok()) << rs1.error();
+    ASSERT_TRUE(rs4.ok()) << rs4.error();
+    ASSERT_TRUE(rs1.obs().hasAccounting());
+
+    const auto a1 = renderArtifacts(rs1);
+    const auto a4 = renderArtifacts(rs4);
+    EXPECT_EQ(a1.series, a4.series);
+    EXPECT_EQ(a1.trace, a4.trace);
+    EXPECT_EQ(a1.stats, a4.stats);
+    std::ostringstream t1, t4;
+    rs1.obs().writeAccounting(t1);
+    rs4.obs().writeAccounting(t4);
+    EXPECT_EQ(t1.str(), t4.str());
+
+    // Every layer's fabric runs reached its scenario's collector.
+    ASSERT_EQ(rs4.obs().scenarios().size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const auto &s1 = rs1.obs().scenarios()[i];
+        const auto &s4 = rs4.obs().scenarios()[i];
+        ASSERT_NE(s4.obs, nullptr) << i;
+        EXPECT_GE(s4.obs->runs.size(), 4u) << i;
+        EXPECT_EQ(s1.obs->runs.size(), s4.obs->runs.size()) << i;
+    }
+}
+
 TEST(ObsReport, StatsJsonCarriesAccountingWithSumInvariant)
 {
     engine::Engine eng(engine::EngineConfig{.jobs = 2});

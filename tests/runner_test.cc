@@ -2,18 +2,25 @@
  * @file
  * Runner subsystem tests: sweep-spec expansion (cartesian product,
  * axis validation), worker-pool determinism (identical results and
- * identical rendered output regardless of thread count), and the
- * aggregated sweep table.
+ * identical rendered output regardless of thread count), fork-join
+ * inside pool jobs, and the aggregated sweep table.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
+#include <thread>
 
 #include "cli/driver.hh"
+#include "common/fork_join.hh"
 #include "common/logging.hh"
 #include "engine/engine.hh"
 #include "runner/aggregate.hh"
@@ -408,6 +415,193 @@ TEST(ScenarioPool, RealSweepIsDeterministicAcrossWorkerCounts)
                 << "job " << i << " arch " << arch;
         }
     }
+}
+
+// ---- fork-join --------------------------------------------------------
+
+/** Run @p compute as the only job of a @p workers pool. */
+void
+runOneJob(int workers, std::function<void()> compute,
+          JobOutcome &outcome)
+{
+    std::vector<PoolJob> jobs(1);
+    jobs[0].compute = std::move(compute);
+    jobs[0].outcome = &outcome;
+    ScenarioPool(workers).execute(jobs, nullptr);
+}
+
+/** Threads of this process, or -1 where /proc cannot tell. */
+int
+processThreads()
+{
+    std::error_code ec;
+    int n = 0;
+    for (std::filesystem::directory_iterator it("/proc/self/task", ec),
+         end;
+         !ec && it != end; it.increment(ec))
+        ++n;
+    return ec ? -1 : n;
+}
+
+/**
+ * Blocks each arriving thread until @p want distinct threads have
+ * arrived, or until a generous timeout: true when they all met.
+ */
+class Rendezvous
+{
+  public:
+    explicit Rendezvous(std::size_t want) : want_(want) {}
+
+    bool
+    arrive()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        seen_.insert(std::this_thread::get_id());
+        cv_.notify_all();
+        return cv_.wait_for(lock, std::chrono::seconds(20),
+                            [&] { return seen_.size() >= want_; });
+    }
+
+    std::size_t
+    threads()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return seen_.size();
+    }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::set<std::thread::id> seen_;
+    const std::size_t want_;
+};
+
+TEST(ForkJoin, OutsideAPoolRunsSeriallyInIndexOrderOnTheCaller)
+{
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    std::vector<std::thread::id> where;
+    parallelFor(6, [&](std::size_t i) {
+        order.push_back(i);
+        where.push_back(std::this_thread::get_id());
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(where, std::vector<std::thread::id>(6, caller));
+
+    // A one-worker pool runs its jobs inline: forks stay serial too.
+    where.clear();
+    JobOutcome out;
+    runOneJob(1,
+              [&] {
+                  parallelFor(4, [&](std::size_t) {
+                      where.push_back(std::this_thread::get_id());
+                  });
+              },
+              out);
+    EXPECT_EQ(out.error, "");
+    EXPECT_EQ(where, std::vector<std::thread::id>(4, caller));
+}
+
+TEST(ForkJoin, OneJobsIndicesSpreadAcrossIdleWorkers)
+{
+    std::vector<std::atomic<int>> runs(8);
+    Rendezvous meet(2);
+    std::atomic<int> met{0};
+    JobOutcome out;
+    runOneJob(4,
+              [&] {
+                  parallelFor(runs.size(), [&](std::size_t i) {
+                      ++runs[i];
+                      if (meet.arrive())
+                          ++met;
+                  });
+              },
+              out);
+    EXPECT_EQ(out.error, "");
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        EXPECT_EQ(runs[i].load(), 1) << i;
+    EXPECT_GE(meet.threads(), 2u);
+    EXPECT_EQ(met.load(), 8);
+}
+
+TEST(ForkJoin, RethrowsTheLowestIndexErrorAfterEveryIndexFinishes)
+{
+    for (int workers : {1, 4}) {
+        std::atomic<int> finished{0};
+        JobOutcome out;
+        runOneJob(workers,
+                  [&] {
+                      parallelFor(8, [&](std::size_t i) {
+                          ++finished;
+                          if (i == 5 || i == 2)
+                              fatal("index ", i, " failed");
+                      });
+                  },
+                  out);
+        EXPECT_NE(out.error.find("index 2 failed"), std::string::npos)
+            << "workers=" << workers << ": " << out.error;
+        EXPECT_EQ(finished.load(), 8) << "workers=" << workers;
+    }
+}
+
+TEST(ForkJoin, NestedForksAndEveryWorkerForkingAtOnceFinish)
+{
+    // 4 jobs x 4 indices x 3 nested indices on 4 workers: every
+    // worker forks while every other one is forking too.
+    std::vector<std::size_t> sums(4, 0);
+    std::vector<JobOutcome> outcomes(4);
+    std::vector<PoolJob> jobs(4);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        jobs[j].compute = [j, &sum = sums[j]] {
+            std::vector<std::size_t> outer(4, 0);
+            parallelFor(outer.size(), [&](std::size_t i) {
+                std::vector<std::size_t> inner(3, 0);
+                parallelFor(inner.size(), [&](std::size_t k) {
+                    inner[k] = 100 * j + 10 * i + k;
+                });
+                for (std::size_t v : inner)
+                    outer[i] += v;
+            });
+            for (std::size_t v : outer)
+                sum += v;
+        };
+        jobs[j].outcome = &outcomes[j];
+    }
+    ScenarioPool(4).execute(jobs, nullptr);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        EXPECT_EQ(outcomes[j].error, "") << j;
+        // sum over i < 4, k < 3 of 100j + 10i + k
+        EXPECT_EQ(sums[j], 1200 * j + 180 + 12) << j;
+    }
+}
+
+TEST(ForkJoin, PassThatNeverForksStartsNoExtraThreads)
+{
+    const int before = processThreads();
+    if (before < 0)
+        GTEST_SKIP() << "no /proc/self/task on this host";
+
+    // Two jobs on a 4-worker pool: two threads, both alive once they
+    // have met (a worker stays until the pass's last job ends).
+    Rendezvous meet(2);
+    std::vector<int> seen(2, 0);
+    std::vector<JobOutcome> outcomes(2);
+    std::vector<PoolJob> jobs(2);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        jobs[j].compute = [&, j] {
+            EXPECT_TRUE(meet.arrive());
+            seen[j] = processThreads();
+        };
+        jobs[j].outcome = &outcomes[j];
+    }
+    ScenarioPool(4).execute(jobs, nullptr);
+    EXPECT_EQ(seen, std::vector<int>(2, before + 2));
+
+    // One job on the same pool runs on the caller: no thread at all.
+    int alone = -1;
+    JobOutcome out;
+    runOneJob(4, [&] { alone = processThreads(); }, out);
+    EXPECT_EQ(alone, before);
 }
 
 // ---- sweep table / end-to-end ----------------------------------------

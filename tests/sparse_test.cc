@@ -64,6 +64,11 @@ struct GenParam
     double sparsity;
     std::uint64_t seed;
 };
+// The test ID names this param by its raw bytes (it has no printer),
+// so the struct must have no padding: padding bytes are indeterminate
+// and would change the ID from build to build.
+static_assert(sizeof(GenParam) ==
+              2 * sizeof(int) + sizeof(double) + sizeof(std::uint64_t));
 
 class SparsitySweep : public ::testing::TestWithParam<GenParam>
 {
@@ -96,6 +101,8 @@ struct NmGenParam
     int n, m;
     std::uint64_t seed;
 };
+// No padding, as GenParam above.
+static_assert(sizeof(NmGenParam) == 2 * sizeof(int) + sizeof(std::uint64_t));
 
 class NmStructure : public ::testing::TestWithParam<NmGenParam>
 {

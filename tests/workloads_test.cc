@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/collector.hh"
+#include "runner/pool.hh"
 #include "sparse/reference.hh"
 #include "workloads/polybench.hh"
 #include "workloads/suite.hh"
@@ -441,6 +442,39 @@ TEST(Polybench, CgraWinsLowDlpSolvers)
     }
     EXPECT_GE(cgra_wins_low_dlp, 2);
     EXPECT_GE(canon_wins_high_dlp, 4);
+}
+
+TEST(ArchSuite, ModelForkedAcrossPoolWorkersMatchesSerial)
+{
+    // One layer of every kind; fractional repeats exercise the
+    // per-layer scaling, which must stay in layer order.
+    ModelSpec spec;
+    spec.name = "mini";
+    spec.layers = {
+        {"gemm", LayerKind::Gemm, 64, 64, 64, 0.0, 0, 1},
+        {"spmm", LayerKind::Spmm, 64, 128, 64, 0.7, 0, 2},
+        {"sddmm", LayerKind::SddmmU, 64, 32, 64, 0.8, 0, 3},
+        {"window", LayerKind::SddmmWin, 128, 32, 128, 0.0, 16, 1.5},
+    };
+    const ArchSuite suite;
+    const CaseResult serial = suite.model(spec, 9);
+
+    CaseResult forked;
+    runner::JobOutcome out;
+    std::vector<runner::PoolJob> jobs(1);
+    jobs[0].compute = [&] { forked = suite.model(spec, 9); };
+    jobs[0].outcome = &out;
+    runner::ScenarioPool(4).execute(jobs, nullptr);
+    ASSERT_EQ(out.error, "");
+
+    ASSERT_EQ(serial.size(), forked.size());
+    for (const auto &[arch, p] : serial) {
+        const auto &q = forked.at(arch);
+        EXPECT_EQ(p.workload, q.workload) << arch;
+        EXPECT_EQ(p.cycles, q.cycles) << arch;
+        EXPECT_EQ(p.peCount, q.peCount) << arch;
+        EXPECT_EQ(p.activity, q.activity) << arch;
+    }
 }
 
 TEST(Models, SpecsPopulated)
